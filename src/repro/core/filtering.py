@@ -51,15 +51,12 @@ class FilteringStage:
     def run(
         self, query: SpatialKeywordQuery, k: int = DEFAULT_CANDIDATES
     ) -> list[Candidate]:
-        """Top-``k`` in-range candidates by embedding similarity."""
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        vector = self._embedder.embed(query.text)
-        geo_filter = GeoBoundingBoxFilter("location", query.range)
-        hits = self._client.search(
-            self._collection, vector, k, flt=geo_filter, ef=self._ef
-        )
-        return _to_candidates(hits)
+        """Top-``k`` in-range candidates by embedding similarity.
+
+        A batch of one: :meth:`run_batch` is the only embed-then-search
+        sequence.
+        """
+        return self.run_batch([query], k)[0]
 
     def run_batch(
         self,
@@ -72,8 +69,8 @@ class FilteringStage:
         (repeated texts hit the embedder's dedup/cache), and queries with
         the same spatial range share one filtered ``search_batch`` — the
         geo filter's candidate set is evaluated once per distinct range
-        instead of once per query. Results are equivalent to calling
-        :meth:`run` once per query, in order.
+        instead of once per query. Results come back in query order, and
+        a query's candidates do not depend on its batchmates.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")

@@ -10,13 +10,13 @@
 Batched execution: :meth:`SemaSK.query_many` answers a list of queries
 through the batched read path — one ``embed_batch`` call for all query
 texts, shared filter evaluation per distinct range, and (optionally)
-LLM refinement fanned out over a thread pool. Each query's
-:class:`QueryResult` is equivalent to what sequential :meth:`SemaSK.query`
-calls would return, with the batch's filtering time amortized evenly
-across the per-query timings. The serving layer builds on this
-equivalence: concurrent single-query HTTP clients are coalesced into
-one ``query_many`` call per dispatch window
-(:class:`repro.serving.batcher.QueryCoalescer`).
+LLM refinement fanned out over a thread pool. It is the only
+filter-then-refine sequence: :meth:`SemaSK.query` is a batch of one, so a
+query's :class:`QueryResult` does not depend on its batchmates, apart
+from the batch's filtering time being amortized evenly across the
+per-query timings. The serving layer builds on this: concurrent
+single-query HTTP clients are coalesced into one ``query_many`` call per
+dispatch window (:class:`repro.serving.batcher.QueryCoalescer`).
 """
 
 from __future__ import annotations
@@ -96,20 +96,11 @@ class SemaSK:
         return self._llm
 
     def query(self, query: SpatialKeywordQuery) -> QueryResult:
-        """Answer one query with the filtering-and-refinement procedure."""
-        t0 = time.perf_counter()
-        candidates = self._filtering.run(query, k=self._config.candidate_k)
-        filter_s = time.perf_counter() - t0
+        """Answer one query with the filtering-and-refinement procedure.
 
-        if self._refinement is None:
-            return self._embedding_only_result(query, candidates, filter_s)
-
-        t1 = time.perf_counter()
-        outcome = self._refinement.run(query.text, candidates)
-        refine_compute_s = time.perf_counter() - t1
-        return self._refined_result(
-            query, candidates, outcome, filter_s, refine_compute_s
-        )
+        A batch of one through :meth:`query_many`.
+        """
+        return self.query_many([query])[0]
 
     def query_many(
         self,
@@ -123,8 +114,7 @@ class SemaSK:
         range-filter evaluation, matrix scoring); refinement then runs per
         query, on a thread pool of ``parallel_refine`` workers when > 1
         (LLM calls are I/O-bound against a hosted provider). Results are
-        returned in query order and are equivalent to sequential
-        :meth:`query` calls. Each result's ``filter_s`` is the batch
+        returned in query order. Each result's ``filter_s`` is the batch
         filtering time divided by the batch size.
         """
         if parallel_refine <= 0:
@@ -169,7 +159,7 @@ class SemaSK:
             return list(pool.map(refine, pairs))
 
     # ------------------------------------------------------------------
-    # result assembly (shared by query and query_many)
+    # result assembly
     # ------------------------------------------------------------------
 
     def _embedding_only_result(

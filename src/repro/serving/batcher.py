@@ -15,7 +15,7 @@ Three classes:
 * :class:`MicroBatcher` — the generic size-or-deadline machinery. Items
   are grouped by a caller-supplied key (only identically-parameterized
   requests may share a batch) and executed by a pluggable
-  ``run_batch(key, items)``.
+  ``run_batch(key, items, deadline)``.
 * :class:`SearchCoalescer` — vector searches over a
   :class:`~repro.vectordb.client.VectorDBClient`; groups by
   (collection, k, filter, exact, ef, rescore_factor) and executes
@@ -38,7 +38,6 @@ suit the benchmarked corpus — see ``docs/serving.md`` for how to choose.
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
 import warnings
@@ -123,31 +122,12 @@ def _await_future(
         raise
 
 
-def _accepts_deadline(run_batch: Callable[..., Any]) -> bool:
-    """Whether ``run_batch`` takes a third (deadline) positional arg.
-
-    Sniffed once at construction so legacy two-argument callables (and
-    every existing test double) keep working unchanged, while the
-    coalescers' three-argument runners get the batch deadline forwarded.
-    """
-    try:
-        parameters = inspect.signature(run_batch).parameters.values()
-    except (TypeError, ValueError):
-        return False
-    positional = [
-        p for p in parameters
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if any(p.kind == p.VAR_POSITIONAL for p in parameters):
-        return True
-    return len(positional) >= 3
-
-
 # reprolint: disable=RL06 -- process-local: lives inside a ServingContext, never pickled
 class MicroBatcher:
     """Size-or-deadline micro-batching over a ``run_batch`` callable.
 
-    ``run_batch(key, items)`` must return one result per item, in order.
+    ``run_batch(key, items, deadline)`` must return one result per item,
+    in order.
     :meth:`submit` enqueues an item under ``key`` and returns a
     :class:`~concurrent.futures.Future`; only items with equal keys are
     batched together. A single dispatcher thread watches the queue and
@@ -169,14 +149,16 @@ class MicroBatcher:
     Deadlines: an optional :class:`~repro.vectordb.deadline.Deadline`
     rides with each item. Items whose budget is already spent when their
     batch is picked up are failed with ``DeadlineExceeded`` instead of
-    being executed, and when ``run_batch`` accepts a third positional
-    argument it receives the batch's most generous deadline (the latest
-    expiry among its items — a tight budget never fails a batchmate).
+    being executed, and ``run_batch`` receives the batch's most generous
+    deadline (the latest expiry among its items — a tight budget never
+    fails a batchmate; ``None`` when any item has no budget).
     """
 
     def __init__(
         self,
-        run_batch: Callable[[Hashable, list[Any]], Sequence[Any]],
+        run_batch: Callable[
+            [Hashable, list[Any], Deadline | None], Sequence[Any]
+        ],
         max_batch: int = 64,
         max_wait_s: float = 0.005,
         name: str = "batcher",
@@ -193,7 +175,6 @@ class MicroBatcher:
                 f"max_pending must be positive or None, got {max_pending}"
             )
         self._run_batch = run_batch
-        self._forward_deadline = _accepts_deadline(run_batch)
         self._max_batch = max_batch
         self._max_wait_s = max_wait_s
         self._max_pending = max_pending
@@ -374,9 +355,7 @@ class MicroBatcher:
         chaos.fire(
             "batcher.run_batch", name=self._name, key=key, items=items
         )
-        if self._forward_deadline:
-            return self._run_batch(key, items, deadline)
-        return self._run_batch(key, items)
+        return self._run_batch(key, items, deadline)
 
     def _drop_expired(
         self, batch: list[tuple[Any, Future, Deadline | None]]
@@ -498,7 +477,7 @@ class SearchCoalescer:
         self,
         key: _SearchKey,
         vectors: list[np.ndarray],
-        deadline: Deadline | None = None,
+        deadline: Deadline | None,
     ) -> list[list[SearchHit]]:
         return self._client.search_batch(
             key.collection, np.stack(vectors), key.k,
@@ -610,8 +589,13 @@ class QueryCoalescer:
         return self._batcher.pending
 
     def _run(
-        self, key: Hashable, queries: list[SpatialKeywordQuery]
+        self,
+        key: Hashable,
+        queries: list[SpatialKeywordQuery],
+        deadline: Deadline | None,
     ) -> list[QueryResult]:
+        # ``query_many`` takes no budget: expired items were already
+        # dropped at dispatch, and the searches inside carry none.
         return self._system.query_many(
             queries, parallel_refine=min(self._parallel_refine, len(queries))
         )

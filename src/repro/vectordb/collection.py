@@ -6,12 +6,13 @@ follow the same strategy real engines use: when the filter is selective,
 score the matching subset exactly; when it is broad, traverse the HNSW
 graph with a predicate.
 
-Batched reads: :meth:`Collection.search_batch` answers many queries against
+One read path: :meth:`Collection.search_batch` answers many queries against
 one filter in a single call — the filter's candidate set is computed once
-and shared across the whole batch, exact scoring runs as one matrix–matrix
-product, and per-query results are guaranteed equivalent to calling
-:meth:`Collection.search` once per query (same hits; scores equal up to
-float accumulation order).
+and shared across the whole batch, and exact scoring runs as one
+matrix–matrix product. It is the only place that chooses between exact,
+brute-force, quantized and graph scoring; :meth:`Collection.search` is a
+batch of one, so a query gets the same hits alone as in any batch (scores
+equal up to float accumulation order).
 
 Index lifecycle: the HNSW graph can be built eagerly with
 :meth:`Collection.build_hnsw` (the bulk-scored
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -232,8 +233,7 @@ class Collection:
 
         A view into live storage (valid until the next upsert
         reallocates); callers that keep it must copy. Bulk index builds
-        use this to avoid the per-row stacking and payload copies of
-        :meth:`export_state`.
+        read it directly instead of stacking rows.
         """
         return self._flat.matrix()
 
@@ -516,9 +516,6 @@ class Collection:
             index.pickle_by_handle = self._quantize is not None
             self._hnsw = index
 
-    def _ensure_hnsw(self) -> HNSWIndex:
-        return self.build_hnsw()
-
     def attach_sq8(self, store: SQ8Store) -> None:
         """Install an externally built quantized tier (snapshot loads).
 
@@ -601,7 +598,7 @@ class Collection:
         if m_cand >= population:
             return self._flat.search(query, k, subset=matching)
         store = self._ensure_sq8()
-        graph = self._ensure_hnsw()
+        graph = self.build_hnsw()
         matrix_like, w = store.traversal_query(query, self._metric)
         view = graph.traversal_view(matrix_like)
         predicate = (
@@ -647,56 +644,20 @@ class Collection:
         :class:`~repro.errors.DeadlineExceeded` at entry and again
         between filter evaluation and scoring — the two choke points
         where an over-budget search can still be abandoned cheaply.
+
+        A batch of one: after the shape check this is
+        ``search_batch(vector[None], ...)[0]``, so the path choice
+        (exact / brute-force / sq8 / graph) lives in one place.
         """
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        if deadline is not None:
-            deadline.check("search")
         query = np.asarray(vector, dtype=np.float32)
         if query.shape != (self.dim,):
             raise DimensionMismatch(
                 f"query shape {query.shape} != ({self.dim},)"
             )
-        if k == 0 or len(self._ids) == 0:
-            return []
-        quantized = self._sq8 is not None and not exact
-
-        if flt is not None:
-            matching = self._matching_nodes(flt)
-            if matching.size == 0:
-                return []
-            if deadline is not None:
-                deadline.check("scoring")
-            if exact or matching.size <= self.BRUTE_FORCE_THRESHOLD:
-                raw = self._flat.search(query, k, subset=matching)
-            elif quantized:
-                raw = self._sq8_graph_search(
-                    query, k, ef, rescore_factor,
-                    matching=matching, match_set=set(matching.tolist()),
-                )
-            else:
-                match_set = set(matching.tolist())
-                raw = self._ensure_hnsw().search(
-                    query, k, ef=ef or self._hnsw_config.ef_search,
-                    predicate=lambda n: n in match_set,
-                )
-        elif exact:
-            raw = self._flat.search(query, k)
-        elif quantized:
-            raw = self._sq8_graph_search(query, k, ef, rescore_factor)
-        else:
-            raw = self._ensure_hnsw().search(
-                query, k, ef=ef or self._hnsw_config.ef_search
-            )
-
-        return [
-            SearchHit(
-                id=self._ids[node],
-                score=score,
-                payload=dict(self._payloads[node]),
-            )
-            for node, score in raw
-        ]
+        return self.search_batch(
+            query[None], k, flt=flt, exact=exact, ef=ef, deadline=deadline,
+            rescore_factor=rescore_factor,
+        )[0]
 
     @array_contract(vectors="q,d:float32")
     def search_batch(
@@ -711,16 +672,16 @@ class Collection:
     ) -> list[list[SearchHit]]:
         """Top-``k`` hits for each query row, against one shared filter.
 
-        The batch equivalent of :meth:`search`: the filter's matching-node
-        set is evaluated once for the whole batch (the dominant cost of a
-        filtered search over payloads), exact scoring dispatches to the
-        flat index's matrix–matrix path, and the HNSW path reuses the
-        graph's vectorized traversal per query. Returns one hit list per
-        query, equivalent to ``[self.search(v, k, ...) for v in vectors]``
-        (including the ``k = 0`` / oversized-``k`` edge behaviour).
-        ``deadline`` is checked at the same choke points as in
-        :meth:`search` (entry, and between filter evaluation and
-        scoring).
+        The read path (:meth:`search` is a batch of one): the filter's
+        matching-node set is evaluated once for the whole batch (the
+        dominant cost of a filtered search over payloads), exact scoring
+        dispatches to the flat index's matrix–matrix path, and the HNSW
+        path reuses the graph's vectorized traversal per query. Returns
+        one hit list per query; a query's hits do not depend on what
+        else rides in the batch. Options, the ``k = 0`` / oversized-``k``
+        edge behaviour and the two ``deadline`` choke points (entry, and
+        between filter evaluation and scoring) are documented on
+        :meth:`search`.
         """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
@@ -757,7 +718,7 @@ class Collection:
                 ]
             else:
                 match_set = set(matching.tolist())
-                index = self._ensure_hnsw()
+                index = self.build_hnsw()
                 raw_lists = index.search_batch(
                     queries, k, ef=ef or self._hnsw_config.ef_search,
                     predicate=lambda n: n in match_set,
@@ -770,7 +731,7 @@ class Collection:
                 for query in queries
             ]
         else:
-            raw_lists = self._ensure_hnsw().search_batch(
+            raw_lists = self.build_hnsw().search_batch(
                 queries, k, ef=ef or self._hnsw_config.ef_search
             )
 
@@ -789,24 +750,6 @@ class Collection:
     # ------------------------------------------------------------------
     # persistence support (used by repro.vectordb.persistence)
     # ------------------------------------------------------------------
-
-    def export_state(self) -> tuple[np.ndarray, list[str], list[dict[str, Any]]]:
-        """``(vectors, ids, payloads)`` as independent copies.
-
-        The deliberately-copying export: the result is fully decoupled
-        from live storage, safe to hold across later upserts or to hand
-        to another thread/process. Snapshot *serialization* no longer
-        goes through it — persistence writes straight from the zero-copy
-        :meth:`vector_matrix` / :meth:`point_ids` / :meth:`payload_rows`
-        views, which is what lets an mmap-served collection save without
-        materializing its matrix.
-        """
-        with self._write_lock:
-            return (
-                self._flat.matrix().copy(),
-                list(self._ids),
-                [dict(p) for p in self._payloads],
-            )
 
     def snapshot_view(self) -> SnapshotView:
         """Capture a consistent :class:`SnapshotView` under the write lock.
@@ -850,51 +793,6 @@ class Collection:
                 codebook=codebook,
             )
 
-    def payload_rows(self) -> list[dict[str, Any]]:
-        """The stored payload dicts in node-id order, *by reference*.
-
-        The cheap read-only counterpart of :meth:`export_state`'s payload
-        copy: snapshot writes serialize these straight to JSON, so — like
-        :meth:`vector_matrix` — no per-point copies are made and an
-        mmap-served collection can be saved without materializing
-        anything. Callers must not mutate the dicts.
-        """
-        return list(self._payloads)
-
-    @classmethod
-    def from_state(
-        cls,
-        name: str,
-        vectors: np.ndarray,
-        ids: list[str],
-        payloads: list[dict[str, Any]],
-        metric: Metric = Metric.COSINE,
-        hnsw: HnswConfig | None = None,
-        dim: int | None = None,
-        quantize: str | None = None,
-    ) -> "Collection":
-        """Rebuild a collection from :meth:`export_state` output.
-
-        ``dim`` pins the dimensionality explicitly (snapshots record it in
-        their metadata); without it the vector matrix's second axis is
-        used, which stays correct even for zero points. The HNSW graph is
-        rebuilt lazily on first approximate search.
-        """
-        if len(ids) != len(payloads) or len(ids) != vectors.shape[0]:
-            raise CollectionError(
-                "inconsistent state: vectors/ids/payloads lengths differ"
-            )
-        if dim is None:
-            dim = vectors.shape[1] if vectors.ndim == 2 else 1
-        collection = cls(name, dim, metric=metric, hnsw=hnsw,
-                         quantize=quantize)
-        if vectors.size:
-            collection.upsert(
-                PointStruct(id=i, vector=v, payload=p)
-                for i, v, p in zip(ids, vectors, payloads)
-            )
-        return collection
-
     @classmethod
     @array_contract(vectors="n,d")
     def from_matrix(
@@ -910,8 +808,8 @@ class Collection:
     ) -> "Collection":
         """Restore a collection *around* ``vectors`` without copying them.
 
-        The O(metadata) counterpart of :meth:`from_state`: the matrix is
-        adopted as storage via :meth:`FlatIndex.from_matrix` (a read-only
+        O(metadata): the matrix is adopted as storage via
+        :meth:`FlatIndex.from_matrix` (a read-only
         ``np.memmap`` over a snapshot's vector file works — later upserts
         copy on write), ids and payloads are taken over as-is instead of
         being re-validated point by point, and no index work happens.
@@ -945,7 +843,3 @@ class Collection:
             raise CollectionError(f"duplicate point ids in {name!r}")
         return collection
 
-
-def build_predicate(payloads: list[Mapping[str, Any]], flt: Filter):
-    """Node-id predicate over ``payloads`` for raw HNSW searches."""
-    return lambda node: flt.matches(payloads[node])

@@ -255,7 +255,12 @@ class FlatIndex:
         if ids.size == 0:
             return [[] for _ in range(n_queries)]
 
-        matrix = self._vectors[ids]
+        if subset is None and predicate is None:
+            # Score the stored rows in place: a fancy-index gather would
+            # copy the whole (possibly mmap-ed) matrix onto the heap.
+            matrix = self._vectors[: self._count]
+        else:
+            matrix = self._vectors[ids]
         if self._metric in (Metric.COSINE, Metric.DOT):
             sims = pairwise_similarity(queries, matrix, self._metric)
         else:
@@ -268,11 +273,12 @@ class FlatIndex:
             )
 
         top = min(k, ids.size)
+        rows = np.arange(n_queries, dtype=np.int64)[:, None]
         part = np.argpartition(-sims, top - 1, axis=1)[:, :top]
-        part_sims = np.take_along_axis(sims, part, axis=1)
+        part_sims = sims[rows, part]
         order = np.argsort(-part_sims, axis=1)
-        cols = np.take_along_axis(part, order, axis=1)
-        ranked_sims = np.take_along_axis(part_sims, order, axis=1)
+        cols = part[rows, order]
+        ranked_sims = part_sims[rows, order]
         return [
             [
                 (int(ids[col]), float(sim))

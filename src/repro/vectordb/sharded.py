@@ -605,23 +605,17 @@ class ShardedCollection:
         forwarded to every shard for their own choke-point checks.
         ``rescore_factor`` is forwarded to every shard's quantized
         rescoring stage (ignored by shards serving float32-only).
+        A batch of one: ``search_batch(vector[None], ...)[0]``.
         """
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        if deadline is not None:
-            deadline.check("shard fan-out")
         query = np.asarray(vector, dtype=np.float32)
         if query.shape != (self.dim,):
             raise DimensionMismatch(
                 f"query shape {query.shape} != ({self.dim},)"
             )
-        if k == 0:
-            return []
-        per_shard = self._fan_out(
-            "search", query, k, flt=flt, exact=exact, ef=ef,
-            deadline=deadline, rescore_factor=rescore_factor,
-        )
-        return _merge_top_k(per_shard, k)
+        return self.search_batch(
+            query[None], k, flt=flt, exact=exact, ef=ef, deadline=deadline,
+            rescore_factor=rescore_factor,
+        )[0]
 
     @array_contract(vectors="q,d:float32")
     def search_batch(
@@ -634,7 +628,7 @@ class ShardedCollection:
         deadline: Deadline | None = None,
         rescore_factor: float | None = None,
     ) -> list[list[SearchHit]]:
-        """Batched :meth:`search`: one fan-out, per-query exact merges.
+        """The fan-out read path: one dispatch, per-query exact merges.
 
         ``deadline`` follows the :meth:`search` contract: checked before
         the fan-out is dispatched, then forwarded to every shard, as is

@@ -1,4 +1,4 @@
-"""Equivalence suite: batched read paths ≡ the per-query paths.
+"""Equivalence suite: batched read paths ≡ the per-query kernels.
 
 The batch execution engine (``search_batch`` / ``embed_batch`` /
 ``query_many``) is an amortization, not a different algorithm; these
@@ -6,6 +6,16 @@ property-style tests pin that guarantee over randomized seeds, dims, and
 ``k`` on every dispatch path (flat exact, HNSW, filtered brute-force,
 filtered HNSW-with-predicate), for the embedders, and for the full
 pipeline under the simulated LLM.
+
+``Collection.search``, ``FilteringStage.run`` and ``SemaSK.query`` are
+batches of one, so comparing a batch against them would compare the
+engine with itself. The collection- and pipeline-level cases are
+anchored on oracles assembled here from the per-query kernels instead
+(``FlatIndex.search`` over the payload-filtered node subset, the
+collection's graph searched with the same predicate and ``ef``,
+per-query embed + search + ``RefinementStage``), and
+``TestSearchIsBatchOfOne`` pins the single-query entry points to the
+batch path, edge cases and errors included.
 """
 
 from __future__ import annotations
@@ -13,16 +23,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.filtering import Candidate
 from repro.core.query import SpatialKeywordQuery
+from repro.core.refinement import RefinementStage
 from repro.core.variants import semask, semask_em
 from repro.embeddings.cache import CachingEmbedder
 from repro.embeddings.hashed import HashedNgramEmbedder
 from repro.embeddings.semantic import SemanticEmbedder
-from repro.errors import DimensionMismatch
-from repro.vectordb.collection import Collection, PointStruct
-from repro.vectordb.filters import And, FieldMatch, FieldRange
+from repro.errors import DeadlineExceeded, DimensionMismatch
+from repro.vectordb.collection import Collection, PointStruct, SearchHit
+from repro.vectordb.deadline import Deadline
+from repro.vectordb.filters import (
+    And,
+    FieldMatch,
+    FieldRange,
+    GeoBoundingBoxFilter,
+)
 from repro.vectordb.flat import FlatIndex
 from repro.vectordb.hnsw import HNSWIndex
+from repro.vectordb.sharded import ShardedCollection
 
 CASES = [(0, 8, 1), (1, 16, 5), (2, 32, 10), (3, 64, 3)]
 
@@ -33,18 +52,62 @@ def unit_vectors(n: int, dim: int, seed: int) -> np.ndarray:
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
-def build_collection(seed: int, dim: int, n: int = 300) -> Collection:
+def point_payload(i: int) -> dict:
+    return {"city": f"city{i % 3}", "stars": float(i % 5) + 1.0}
+
+
+def build_collection(
+    seed: int, dim: int, n: int = 300, shards: int | None = None
+) -> Collection | ShardedCollection:
     vecs = unit_vectors(n, dim, seed)
-    collection = Collection(f"c{seed}", dim)
+    if shards is None:
+        collection = Collection(f"c{seed}", dim)
+    else:
+        collection = ShardedCollection(f"c{seed}", dim, shards=shards)
     collection.upsert(
-        PointStruct(
-            id=f"p{i}",
-            vector=vecs[i],
-            payload={"city": f"city{i % 3}", "stars": float(i % 5) + 1.0},
-        )
+        PointStruct(id=f"p{i}", vector=vecs[i], payload=point_payload(i))
         for i in range(n)
     )
     return collection
+
+
+class Oracle:
+    """Per-query reference for ``build_collection(seed, dim, n)``.
+
+    Rebuilt from the generating vectors and payloads, so nothing here
+    goes through ``Collection.search*``: filters are evaluated by a
+    plain scan and scoring is ``FlatIndex.search`` (exact paths) or the
+    collection's own graph searched one query at a time (graph paths).
+    """
+
+    def __init__(self, seed: int, dim: int, n: int = 300) -> None:
+        self.flat = FlatIndex.from_matrix(unit_vectors(n, dim, seed))
+        self.payloads = [point_payload(i) for i in range(n)]
+
+    def matching(self, flt) -> np.ndarray:
+        return np.array(
+            [i for i, p in enumerate(self.payloads) if flt.matches(p)],
+            dtype=np.int64,
+        )
+
+    def hits(self, raw) -> list[SearchHit]:
+        return [
+            SearchHit(id=f"p{node}", score=score, payload=self.payloads[node])
+            for node, score in raw
+        ]
+
+    def exact(self, query, k, flt=None) -> list[SearchHit]:
+        subset = None if flt is None else self.matching(flt)
+        return self.hits(self.flat.search(query, k, subset=subset))
+
+    def graph(self, collection, query, k, flt=None) -> list[SearchHit]:
+        def predicate(node: int) -> bool:
+            return flt.matches(self.payloads[node])
+
+        return self.hits(collection.hnsw_index.search(
+            query, k, ef=collection.hnsw_config.ef_search,
+            predicate=None if flt is None else predicate,
+        ))
 
 
 def assert_hits_equivalent(batch_hits, single_hits):
@@ -139,46 +202,103 @@ class TestHnswSearchBatch:
 class TestCollectionSearchBatch:
     def test_exact_unfiltered(self, seed, dim, k):
         collection = build_collection(seed, dim)
+        oracle = Oracle(seed, dim)
         queries = unit_vectors(12, dim, seed + 500)
         batch = collection.search_batch(queries, k, exact=True)
         for hits, q in zip(batch, queries):
-            assert_hits_equivalent(hits, collection.search(q, k, exact=True))
+            assert_hits_equivalent(hits, oracle.exact(q, k))
 
     def test_hnsw_unfiltered(self, seed, dim, k):
         collection = build_collection(seed, dim)
+        oracle = Oracle(seed, dim)
         queries = unit_vectors(12, dim, seed + 600)
         batch = collection.search_batch(queries, k)
         for hits, q in zip(batch, queries):
-            assert_hits_equivalent(hits, collection.search(q, k))
+            assert_hits_equivalent(hits, oracle.graph(collection, q, k))
 
     def test_filtered_brute_force_path(self, seed, dim, k):
         collection = build_collection(seed, dim)
+        oracle = Oracle(seed, dim)
         flt = And(FieldMatch("city", "city1"), FieldRange("stars", gte=2.0))
         queries = unit_vectors(12, dim, seed + 700)
         batch = collection.search_batch(queries, k, flt=flt)
         for hits, q in zip(batch, queries):
-            single = collection.search(q, k, flt=flt)
-            assert_hits_equivalent(hits, single)
+            assert_hits_equivalent(hits, oracle.exact(q, k, flt))
             assert all(h.payload["city"] == "city1" for h in hits)
 
     def test_filtered_hnsw_predicate_path(self, seed, dim, k):
         collection = build_collection(seed, dim)
+        oracle = Oracle(seed, dim)
         # Force the graph-with-predicate dispatch for broad filters.
         collection.BRUTE_FORCE_THRESHOLD = 0
         flt = FieldRange("stars", gte=2.0)
         queries = unit_vectors(8, dim, seed + 800)
         batch = collection.search_batch(queries, k, flt=flt)
         for hits, q in zip(batch, queries):
-            assert_hits_equivalent(hits, collection.search(q, k, flt=flt))
+            assert_hits_equivalent(
+                hits, oracle.graph(collection, q, k, flt)
+            )
 
     def test_indexed_filter_path(self, seed, dim, k):
         collection = build_collection(seed, dim)
+        oracle = Oracle(seed, dim)
         collection.create_payload_index("city")
         flt = FieldMatch("city", "city2")
         queries = unit_vectors(8, dim, seed + 900)
         batch = collection.search_batch(queries, k, flt=flt)
         for hits, q in zip(batch, queries):
-            assert_hits_equivalent(hits, collection.search(q, k, flt=flt))
+            assert_hits_equivalent(hits, oracle.exact(q, k, flt))
+
+
+def _outcome(call):
+    """A call's result, or the type of the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("shards", [None, 3], ids=["single", "sharded"])
+@pytest.mark.parametrize(
+    "n,query_dim,k,kwargs,expected",
+    [
+        (300, 8, 5, {}, 5),
+        (300, 8, 5, {"exact": True}, 5),
+        (300, 8, 5, {"flt": FieldMatch("city", "city1")}, 5),
+        (300, 8, 5, {"flt": FieldMatch("city", "nowhere")}, 0),
+        (300, 8, 0, {}, 0),
+        (300, 8, 1000, {"exact": True}, 300),
+        (300, 8, 1000, {"flt": FieldMatch("city", "city1")}, 100),
+        (0, 8, 5, {}, 0),
+        (300, 4, 5, {}, DimensionMismatch),
+        (300, 8, -1, {}, ValueError),
+        (300, 8, 5, {"deadline": Deadline.after(0)}, DeadlineExceeded),
+    ],
+    ids=[
+        "graph", "exact", "filtered", "no-match", "k0", "oversized-k",
+        "oversized-k-filtered", "empty-collection", "wrong-shape",
+        "negative-k", "expired-deadline",
+    ],
+)
+def test_search_is_batch_of_one(shards, n, query_dim, k, kwargs, expected):
+    """``search(v, …)`` ≡ ``search_batch(v[None], …)[0]``, errors included.
+
+    ``expected`` is the hit count, or the exception type both must raise.
+    """
+    collection = build_collection(0, 8, n=n, shards=shards)
+    query = unit_vectors(1, query_dim, 42)[0]
+    try:
+        single = _outcome(lambda: collection.search(query, k, **kwargs))
+        batch = _outcome(
+            lambda: collection.search_batch(query[None], k, **kwargs)[0]
+        )
+    finally:
+        collection.close()
+    assert single == batch
+    if isinstance(expected, int):
+        assert len(single) == expected
+    else:
+        assert single is expected
 
 
 class TestCollectionSearchBatchEdges:
@@ -348,15 +468,84 @@ def assert_results_equivalent(batch_result, single_result):
         )
 
 
+def oracle_entries(corpus, system, query):
+    """``(entries, filtered_out)`` as ``(id, reason, score)`` triples.
+
+    One query's answer assembled from the stages' per-query primitives —
+    embed, geo-filtered search, ``RefinementStage`` — without touching
+    ``FilteringStage`` or ``SemaSK.query*``.
+    """
+    prepared = corpus.prepared
+    config = system.config
+    hits = prepared.client.search(
+        prepared.collection_name,
+        prepared.embedder.embed(query.text),
+        config.candidate_k,
+        flt=GeoBoundingBoxFilter("location", query.range),
+        ef=config.ef,
+    )
+    candidates = [
+        Candidate(
+            business_id=hit.id,
+            name=str(hit.payload.get("name", hit.id)),
+            score=hit.score,
+            payload=hit.payload,
+        )
+        for hit in hits
+    ]
+    if config.refine_model is None:
+        return [(c.business_id, "", c.score) for c in candidates], []
+    outcome = RefinementStage(system.llm, config.refine_model).run(
+        query.text, candidates
+    )
+    n = max(len(outcome.accepted), 1)
+    return (
+        [
+            (c.business_id, reason, 1.0 - rank / n)
+            for rank, (c, reason) in enumerate(outcome.accepted)
+        ],
+        [
+            (c.business_id, "Filtered out by the LLM refinement step.",
+             c.score)
+            for c in outcome.rejected
+        ],
+    )
+
+
+def assert_matches_oracle(result, query, oracle):
+    assert result.query_text == query.text
+    for got, want in zip((result.entries, result.filtered_out), oracle):
+        assert [(e.business_id, e.reason) for e in got] == [
+            (business_id, reason) for business_id, reason, _ in want
+        ]
+        np.testing.assert_allclose(
+            [e.score for e in got], [score for _, _, score in want],
+            rtol=0, atol=1e-5,
+        )
+    assert result.candidates_considered == len(oracle[0]) + len(oracle[1])
+
+
+def assert_system_matches_oracle(corpus, system):
+    queries = _pipeline_queries(corpus)
+    oracles = [oracle_entries(corpus, system, q) for q in queries]
+    assert any(entries for entries, _ in oracles)
+    batch = system.query_many(queries)
+    assert len(batch) == len(queries)
+    for result, query, oracle in zip(batch, queries, oracles):
+        assert_matches_oracle(result, query, oracle)
+        assert_matches_oracle(system.query(query), query, oracle)
+
+
 class TestQueryManyEquivalence:
     def test_refined_variant(self, tiny_corpus):
-        system = semask(tiny_corpus.prepared, llm=tiny_corpus.llm)
-        queries = _pipeline_queries(tiny_corpus)
-        sequential = [system.query(q) for q in queries]
-        batch = system.query_many(queries)
-        assert len(batch) == len(sequential)
-        for b, s in zip(batch, sequential):
-            assert_results_equivalent(b, s)
+        assert_system_matches_oracle(
+            tiny_corpus, semask(tiny_corpus.prepared, llm=tiny_corpus.llm)
+        )
+
+    def test_embedding_only_variant(self, tiny_corpus):
+        assert_system_matches_oracle(
+            tiny_corpus, semask_em(tiny_corpus.prepared)
+        )
 
     def test_parallel_refine_matches_serial(self, tiny_corpus):
         system = semask(tiny_corpus.prepared, llm=tiny_corpus.llm)
@@ -364,14 +553,6 @@ class TestQueryManyEquivalence:
         serial = system.query_many(queries, parallel_refine=1)
         threaded = system.query_many(queries, parallel_refine=3)
         for b, s in zip(threaded, serial):
-            assert_results_equivalent(b, s)
-
-    def test_embedding_only_variant(self, tiny_corpus):
-        system = semask_em(tiny_corpus.prepared)
-        queries = _pipeline_queries(tiny_corpus)
-        sequential = [system.query(q) for q in queries]
-        batch = system.query_many(queries)
-        for b, s in zip(batch, sequential):
             assert_results_equivalent(b, s)
 
     def test_empty_batch(self, tiny_corpus):

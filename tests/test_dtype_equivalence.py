@@ -184,6 +184,20 @@ class TestMmapColdStartDoesNotMaterialize:
         watcher.assert_peak_below(nbytes // 2, "mmap cold start")
         loaded.close()
 
+    def test_mmap_exact_search_batch_scores_in_place(self, tmp_path):
+        """An unfiltered exact batch scores the mapped rows as a view
+        rather than gathering every row onto the heap first."""
+        snap, vecs = self._snapshot(tmp_path)
+        nbytes = self.BIG_N * self.BIG_DIM * 4
+        loaded = load_collection(snap, mmap=True)
+
+        watcher = MemWatcher(enforce_contracts=False)
+        with watcher.watching():
+            batch = loaded.search_batch(vecs[:4], k=K, exact=True)
+        assert [hits[0].id for hits in batch] == ["p0", "p1", "p2", "p3"]
+        watcher.assert_peak_below(nbytes // 2, "mmap exact search_batch")
+        loaded.close()
+
     def test_eager_load_pays_for_the_matrix(self, tmp_path):
         snap, _ = self._snapshot(tmp_path)
         nbytes = self.BIG_N * self.BIG_DIM * 4

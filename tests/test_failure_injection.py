@@ -136,7 +136,7 @@ class TestVectorDBFailureModes:
         from repro.vectordb.collection import Collection
 
         with pytest.raises(CollectionError, match="inconsistent"):
-            Collection.from_state(
+            Collection.from_matrix(
                 "c",
                 vectors=np.zeros((2, 3), dtype=np.float32),
                 ids=["a"],

@@ -179,7 +179,7 @@ class TestDeadline:
                 collection.search(vec, 3, deadline=Deadline.after(0))
             assert dispatched == []  # refused before any shard saw work
             collection.search(vec, 3, deadline=Deadline.after(30))
-            assert dispatched == ["search"]
+            assert dispatched == ["search_batch"]
 
 
 class TestHttpDeadline:
@@ -211,7 +211,7 @@ class TestHttpDeadline:
         status, body = _http(server.url, "/search", _search_body(vec),
                              headers={"X-Repro-Deadline-Ms": "30000"})
         assert status == 200 and len(body["hits"]) == 5
-        assert dispatched == ["search"]
+        assert dispatched == ["search_batch"]
         status, metrics = _http(server.url, "/metrics")
         assert metrics["deadline_exceeded_total"] == 1
 
@@ -237,7 +237,7 @@ class TestBatcherBackpressure:
         entered = threading.Event()
         release = threading.Event()
 
-        def run(key, items):
+        def run(key, items, deadline):
             entered.set()
             release.wait(30)
             return items
@@ -264,7 +264,7 @@ class TestBatcherBackpressure:
         release = threading.Event()
         executed = []
 
-        def run(key, items):
+        def run(key, items, deadline):
             entered.set()
             release.wait(30)
             executed.extend(items)
@@ -287,14 +287,14 @@ class TestBatcherBackpressure:
         assert batcher.stats.expired == 1
 
     def test_expired_deadline_refused_at_submit(self):
-        with MicroBatcher(lambda k, items: items, name="sub") as batcher:
+        with MicroBatcher(lambda k, items, deadline: items, name="sub") as batcher:
             with pytest.raises(DeadlineExceeded):
                 batcher.submit("k", 1, deadline=Deadline.after(0))
             assert batcher.stats.requests == 0  # nothing was enqueued
 
     def test_max_pending_validated(self):
         with pytest.raises(ValueError):
-            MicroBatcher(lambda k, items: items, max_pending=0)
+            MicroBatcher(lambda k, items, deadline: items, max_pending=0)
 
 
 class TestHttpBackpressure:

@@ -93,7 +93,7 @@ def client():
 class TestMicroBatcher:
     def test_full_group_dispatches_before_deadline(self):
         with MicroBatcher(
-            lambda key, items: [i * 2 for i in items],
+            lambda key, items, deadline: [i * 2 for i in items],
             max_batch=8, max_wait_s=30.0,  # deadline can't be the trigger
         ) as batcher:
             futures = [batcher.submit("k", i) for i in range(8)]
@@ -104,7 +104,7 @@ class TestMicroBatcher:
 
     def test_deadline_flushes_partial_group(self):
         with MicroBatcher(
-            lambda key, items: [i * 2 for i in items],
+            lambda key, items, deadline: [i * 2 for i in items],
             max_batch=64, max_wait_s=0.01,
         ) as batcher:
             t0 = time.monotonic()
@@ -118,7 +118,7 @@ class TestMicroBatcher:
     def test_distinct_keys_never_share_a_batch(self):
         seen: list[tuple] = []
 
-        def run(key, items):
+        def run(key, items, deadline):
             seen.append((key, tuple(items)))
             return items
 
@@ -131,13 +131,13 @@ class TestMicroBatcher:
 
     def test_unhashable_key_gets_private_group(self):
         with MicroBatcher(
-            lambda key, items: items, max_batch=4, max_wait_s=0.005
+            lambda key, items, deadline: items, max_batch=4, max_wait_s=0.005
         ) as batcher:
             future = batcher.submit({"un": "hashable"}, 1)
             assert future.result(timeout=5) == 1
 
     def test_error_isolation_poison_fails_alone(self):
-        def run(key, items):
+        def run(key, items, deadline):
             if any(i == "poison" for i in items):
                 raise RuntimeError("bad batch")
             return [f"ok:{i}" for i in items]
@@ -161,7 +161,7 @@ class TestMicroBatcher:
 
     def test_close_drains_pending_and_rejects_new(self):
         batcher = MicroBatcher(
-            lambda key, items: items, max_batch=64, max_wait_s=30.0
+            lambda key, items, deadline: items, max_batch=64, max_wait_s=30.0
         )
         future = batcher.submit("k", 1)  # would wait 30 s for its deadline
         batcher.close()
@@ -183,7 +183,7 @@ class TestMicroBatcher:
 
         calls: list = []
 
-        def run(key, items, deadline=None):
+        def run(key, items, deadline):
             calls.append((tuple(items), deadline))
             return [f"ok:{i}" for i in items]
 
@@ -216,7 +216,7 @@ class TestMicroBatcher:
         entered = threading.Event()
         release = threading.Event()
 
-        def run(key, items):
+        def run(key, items, deadline):
             entered.set()
             release.wait(30)
             return items
@@ -232,7 +232,7 @@ class TestMicroBatcher:
 
     def test_run_batch_length_mismatch_is_isolated_not_swallowed(self):
         with MicroBatcher(
-            lambda key, items: items[:-1] if len(items) > 1 else items,
+            lambda key, items, deadline: items[:-1] if len(items) > 1 else items,
             max_batch=4, max_wait_s=30.0,
         ) as batcher:
             futures = [batcher.submit("k", i) for i in range(4)]
