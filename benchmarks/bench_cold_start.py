@@ -1,24 +1,24 @@
-"""Cold start — snapshot schema v3 (persisted graphs + mmap vectors) vs v2.
+"""Cold start — persisted HNSW graphs vs the lazy rebuild.
 
-Before v3, every snapshot load paid full HNSW reconstruction on the
-first approximate query and eagerly copied all vectors into RAM — cold
-start was the slowest path in the system. Schema v3 persists the built
-graphs as compact numpy arrays and the vectors as a raw ``.npy`` matrix,
-so a load attaches the graphs (O(metadata)) and can serve searches off a
-read-only memory map.
+A snapshot written without graph files (``snapshot migrate --no-graphs``,
+every ``reshard``) pays full HNSW reconstruction on the first
+approximate query after a load. A snapshot that carries ``graph.npz``
+attaches the graphs instead (O(metadata)), and can serve searches off a
+read-only memory map of ``vectors.npy``.
 
 This benchmark measures **load-to-first-query** latency over a
-20k-point, 4-shard corpus:
+20k-point, 4-shard corpus saved both ways — the two layouts the writer
+actually emits, so the slow arm is one an operator can really be on:
 
-* v2 snapshot: load + first unfiltered search → rebuilds all four
-  per-shard graphs before answering;
-* v3 snapshot: load + the same search → graphs attach from disk.
+* ``include_graphs=False``: load + first unfiltered search → rebuilds
+  all four per-shard graphs before answering;
+* graphs persisted: load + the same search → graphs attach from disk.
 
-Acceptance (ISSUE 4): v3 ≥ 2× faster (floor; target ≥ 5×), post-load
-approximate search results bit-identical between the v3-attached graphs
-and the v2 rebuild (same build seed ⇒ same graph), and an ``mmap=True``
-load allocates measurably less than an eager load (vectors stay on the
-page cache).
+Acceptance: persisted graphs ≥ 2× faster (floor; target ≥ 5×),
+post-load approximate search results bit-identical between the attached
+graphs and the rebuild (same build seed ⇒ same graph), and an
+``mmap=True`` load allocates measurably less than an eager load
+(vectors stay on the page cache).
 
 The generated corpus snapshots are cached under ``BENCH_COLD_START_DIR``
 (default ``.bench-cache/cold-start``) and reused across runs — CI caches
@@ -62,26 +62,25 @@ def _queries(count: int = EQUIVALENCE_QUERIES) -> np.ndarray:
     return queries / np.linalg.norm(queries, axis=1, keepdims=True)
 
 
-def _corpus_ok(directory: Path, schema: int) -> bool:
+def _corpus_ok(directory: Path, graphs: bool) -> bool:
     try:
         info = inspect_snapshot(directory)
     except Exception:
         return False
     return (
-        info["schema"] == schema
-        and info["count"] == N_POINTS
+        info["count"] == N_POINTS
         and info["shards"] == SHARDS
-        and (schema < 3 or info["graphs_persisted"])
+        and info["graphs_persisted"] == graphs
     )
 
 
 @pytest.fixture(scope="module")
 def corpus_dirs() -> tuple[Path, Path]:
-    """``(v2_dir, v3_dir)`` snapshot paths, built once and cached on disk."""
-    v2_dir, v3_dir = CACHE_DIR / "v2", CACHE_DIR / "v3"
-    if _corpus_ok(v2_dir, 2) and _corpus_ok(v3_dir, 3):
+    """``(rebuild_dir, attach_dir)`` snapshots, built once, cached on disk."""
+    rebuild_dir, attach_dir = CACHE_DIR / "no-graphs", CACHE_DIR / "graphs"
+    if _corpus_ok(rebuild_dir, False) and _corpus_ok(attach_dir, True):
         print(f"\nreusing cached cold-start corpus under {CACHE_DIR}")
-        return v2_dir, v3_dir
+        return rebuild_dir, attach_dir
     shutil.rmtree(CACHE_DIR, ignore_errors=True)
     CACHE_DIR.mkdir(parents=True, exist_ok=True)
     print(f"\nbuilding cold-start corpus ({N_POINTS} x {DIM}d, {SHARDS} shards)")
@@ -99,10 +98,10 @@ def corpus_dirs() -> tuple[Path, Path]:
     )
     collection.create_payload_index("city")
     collection.build_hnsw(parallel=SHARDS)
-    save_collection(collection, v2_dir, schema=2)
-    save_collection(collection, v3_dir)
+    save_collection(collection, rebuild_dir, include_graphs=False)
+    save_collection(collection, attach_dir)
     collection.close()
-    return v2_dir, v3_dir
+    return rebuild_dir, attach_dir
 
 
 def _load_to_first_query(directory: Path, mmap: bool = False) -> tuple[float, object]:
@@ -117,44 +116,44 @@ def _load_to_first_query(directory: Path, mmap: bool = False) -> tuple[float, ob
 
 
 def test_cold_start_speedup_and_equivalence(corpus_dirs, bench_artifact):
-    """v3 load-to-first-query ≥ 2× v2 (target 5×); results bit-identical."""
-    v2_dir, v3_dir = corpus_dirs
+    """Attach ≥ 2× faster than rebuild (target 5×); results bit-identical."""
+    rebuild_dir, attach_dir = corpus_dirs
 
-    v2_s, v2_loaded = _load_to_first_query(v2_dir)
-    v3_s, v3_loaded = _load_to_first_query(v3_dir)
-    assert v3_loaded.hnsw_is_built  # attached from disk, nothing rebuilt
+    rebuild_s, rebuilt = _load_to_first_query(rebuild_dir)
+    attach_s, attached = _load_to_first_query(attach_dir)
+    assert attached.hnsw_is_built  # attached from disk, nothing rebuilt
 
-    speedup = v2_s / v3_s
+    speedup = rebuild_s / attach_s
     print(
         f"\ncold start over {N_POINTS} x {DIM}d points, {SHARDS} shards:"
-        f"\n  v2 load + first query (graph rebuild)  {v2_s * 1000:7.0f} ms"
-        f"\n  v3 load + first query (graph attach)   {v3_s * 1000:7.0f} ms"
+        f"\n  load + first query, graph rebuild  {rebuild_s * 1000:7.0f} ms"
+        f"\n  load + first query, graph attach   {attach_s * 1000:7.0f} ms"
         f"\n  speedup: {speedup:.1f}x"
         f" (floor {SPEEDUP_FLOOR}x, target {SPEEDUP_TARGET}x)"
     )
 
-    # The fast path must not change a single answer: the v2 rebuild and
-    # the v3 attached graphs are the same graph (same seed, same build),
+    # The fast path must not change a single answer: the rebuilt and
+    # the attached graphs are the same graph (same seed, same build),
     # so approximate search must agree hit-for-hit, score-for-score.
     queries = _queries()
-    want = v2_loaded.search_batch(queries, K)
-    got = v3_loaded.search_batch(queries, K)
+    want = rebuilt.search_batch(queries, K)
+    got = attached.search_batch(queries, K)
     for want_row, got_row in zip(want, got):
         assert [(h.id, h.score) for h in want_row] == [
             (h.id, h.score) for h in got_row
         ]
     print(f"  post-load results identical over {len(queries)} queries")
 
-    v2_loaded.close()
-    v3_loaded.close()
+    rebuilt.close()
+    attached.close()
     bench_artifact(
         "cold_start",
         {
             "points": N_POINTS,
             "dim": DIM,
             "shards": SHARDS,
-            "v2_load_to_first_query_s": round(v2_s, 4),
-            "v3_load_to_first_query_s": round(v3_s, 4),
+            "rebuild_load_to_first_query_s": round(rebuild_s, 4),
+            "attach_load_to_first_query_s": round(attach_s, 4),
             "speedup": round(speedup, 2),
             "floor": SPEEDUP_FLOOR,
             "target": SPEEDUP_TARGET,
@@ -167,17 +166,17 @@ def test_cold_start_speedup_and_equivalence(corpus_dirs, bench_artifact):
 
 def test_mmap_load_allocates_less(corpus_dirs):
     """mmap=True keeps the vector matrix off the Python heap entirely."""
-    _, v3_dir = corpus_dirs
+    _, attach_dir = corpus_dirs
     vector_bytes = N_POINTS * DIM * 4
 
     tracemalloc.start()
-    eager = load_collection(v3_dir)
+    eager = load_collection(attach_dir)
     eager_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     eager.close()
 
     tracemalloc.start()
-    mapped = load_collection(v3_dir, mmap=True)
+    mapped = load_collection(attach_dir, mmap=True)
     mapped_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
 

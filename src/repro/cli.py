@@ -193,33 +193,30 @@ def cmd_reshard(args: argparse.Namespace) -> int:
 def cmd_snapshot_inspect(args: argparse.Namespace) -> int:
     """``snapshot inspect``: summarize a snapshot without loading it.
 
-    Prints schema version, point count, shard layout, vector storage
-    format (``npy`` = mmap-capable v3, ``npz`` = legacy compressed), and
-    whether persisted HNSW graphs are present.
+    Prints schema version, point count, shard layout, and whether the
+    vector files and persisted HNSW graphs are present.
     """
     from repro.vectordb.persistence import inspect_snapshot
 
     info = inspect_snapshot(args.snapshot)
     print(json.dumps(info, indent=2))
-    if not info["mmap_capable"] or not info["graphs_persisted"]:
+    if not info["graphs_persisted"]:
         print(
             f"\nhint: `python -m repro snapshot migrate {args.snapshot}` "
-            "rewrites this snapshot as schema v4 (memory-mappable vectors "
-            "+ persisted HNSW graphs) for near-instant cold starts",
+            "builds and persists this snapshot's HNSW graphs for "
+            "near-instant cold starts",
             file=sys.stderr,
         )
     return 0
 
 
 def cmd_snapshot_migrate(args: argparse.Namespace) -> int:
-    """``snapshot migrate``: rewrite any snapshot as schema v3.
+    """``snapshot migrate``: rewrite a snapshot as schema v4.
 
-    Upgrades v1/v2 snapshots (and v3 snapshots missing graph files) to
-    the current layout: raw ``vectors.npy`` matrices that loads can
-    memory-map, plus persisted HNSW graphs (built now unless
-    ``--no-graphs``) so the next load skips reconstruction entirely.
-    The rewrite is atomic — an interrupted migration leaves the original
-    snapshot intact.
+    Persists the HNSW graphs a snapshot is missing (built now unless
+    ``--no-graphs``) so the next load skips reconstruction entirely, and
+    optionally adds the sq8 tier. The rewrite is atomic — an interrupted
+    migration leaves the original snapshot intact.
     """
     from repro.vectordb.persistence import inspect_snapshot, migrate_snapshot
 
@@ -507,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_snapshot_inspect)
     sp = snap_sub.add_parser(
         "migrate",
-        help="rewrite a snapshot as schema v4 (mmap vectors + graphs)",
+        help="rewrite a snapshot as schema v4 (persist graphs, add sq8)",
     )
     sp.add_argument("snapshot", help="snapshot directory (save_collection)")
     sp.add_argument("--out", default="",

@@ -80,7 +80,7 @@ def load_prepared(
     have to live in the same space as the stored document vectors.
 
     ``mmap=True`` memory-maps the collection's vector matrix instead of
-    loading it into RAM (schema v3 snapshots; see
+    loading it into RAM (see
     :func:`repro.vectordb.persistence.load_collection`) — restarts of a
     served deployment fault in only the pages queries touch. Snapshots
     whose collection was prepared with an eager index build reload with

@@ -2,9 +2,9 @@
 
 A serving process (and the demo) should come up in milliseconds, not by
 re-running data preparation — generation, geocoding, summarization, and
-embedding take orders of magnitude longer than loading the schema-v3
-snapshot of their output (PR 4's ``from_matrix`` restore path attaches
-persisted HNSW graphs and can memory-map the vector matrix).
+embedding take orders of magnitude longer than loading the snapshot of
+their output (the ``from_matrix`` restore path attaches persisted HNSW
+graphs and can memory-map the vector matrix).
 :func:`load_or_prepare` is the one helper every entry point shares:
 
 * snapshot directory exists → :func:`~repro.core.storage.load_prepared`

@@ -6,7 +6,11 @@
 coalescers — and exposes the operations the endpoints need.
 :class:`ServingServer` wraps it in a ``ThreadingHTTPServer`` (one thread
 per connection; no third-party framework), so every scenario the engine
-supports is reachable with ``curl``. Endpoints:
+supports is reachable with ``curl``. The socket, its serving thread and
+the drain-then-close shutdown live once in :class:`HttpService`, the
+response writer and the bounded body reader once in ``_JsonHandler``;
+:class:`ServingServer` (and the replica router's front) add only their
+routes. Endpoints:
 
 ========  ======================  ==========================================
 method    path                    purpose
@@ -51,7 +55,7 @@ own thread; handler threads block on coalescer futures, so concurrent
 :mod:`repro.serving.batcher`). ``coalesce: false`` in a request body
 opts that request out — used by the serving benchmark's baseline arm.
 
-Shutdown is graceful: :meth:`ServingServer.shutdown` stops accepting,
+Shutdown is graceful: :meth:`HttpService.shutdown` stops accepting,
 finishes in-flight handlers, flushes the coalescers, and closes the
 context exactly once, whether triggered by SIGINT/SIGTERM (the
 ``repro serve`` CLI installs handlers), the context manager, or a test.
@@ -65,7 +69,7 @@ import time
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Self
 
 import numpy as np
 
@@ -539,16 +543,83 @@ class _TrackingHTTPServer(ThreadingHTTPServer):
         return True
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests to the :class:`ServingContext` (set per server)."""
+class _JsonHandler(BaseHTTPRequestHandler):
+    """What every HTTP front here shares: the response writer and the
+    bounded body reader. Subclasses add only their routing.
+
+    Every response leaves through :meth:`_send_bytes`, so that is where
+    a request id, an access log line or a one-segment write would go.
+    """
 
     protocol_version = "HTTP/1.1"  # keep-alive: clients reuse connections
-    context: ServingContext  # injected by ServingServer
     server: _TrackingHTTPServer
 
     #: Hard cap on accepted request bodies; larger gets 413 unread. Even
     #: a full batch of float vectors fits in a fraction of this.
     MAX_BODY_BYTES = 8 * 1024 * 1024
+
+    def log_message(self, *args: object) -> None:
+        """Silence per-request stderr logging."""
+
+    def parse_request(self) -> bool:
+        self._body_unread = True  # until _read_body_bytes consumes it
+        return super().parse_request()
+
+    def _send_bytes(self, status: int, data: bytes) -> None:
+        """Write one JSON response; every 429 carries ``Retry-After``."""
+        declared = self.headers.get("Content-Length", "0")
+        if self._body_unread and declared != "0":
+            # The unread bytes would be parsed as the next request line
+            # on this keep-alive connection.
+            self.close_connection = True
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json; charset=utf-8")
+        self.send_header("Content-Length", str(len(data)))
+        if status == 429:
+            self.send_header("Retry-After", "1")
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
+
+    def _read_body_bytes(self) -> bytes:
+        """The raw request body, refusing to read unbounded bytes.
+
+        A missing/zero ``Content-Length`` is 411 (this server does not
+        accept chunked bodies) and one beyond :attr:`MAX_BODY_BYTES` is
+        413 — in both cases the body is *never read*, so a hostile
+        header cannot make the handler allocate, and the connection
+        closes.
+        """
+        raw_length = self.headers.get("Content-Length")
+        try:
+            if raw_length is None:
+                raise HttpError(411, "Content-Length required")
+            try:
+                length = int(raw_length)
+            except ValueError as exc:
+                raise HttpError(
+                    411, f"invalid Content-Length {raw_length!r}"
+                ) from exc
+            if length <= 0:
+                raise HttpError(411, "request body required")
+            if length > self.MAX_BODY_BYTES:
+                raise HttpError(
+                    413,
+                    f"request body of {length} bytes exceeds the "
+                    f"{self.MAX_BODY_BYTES}-byte limit",
+                )
+        except HttpError:
+            self.close_connection = True
+            raise
+        self._body_unread = False
+        return self.rfile.read(length)
+
+
+class _Handler(_JsonHandler):
+    """Routes requests to the :class:`ServingContext` (set per server)."""
+
+    context: ServingContext  # injected by ServingServer
 
     #: Paths metrics may record verbatim; anything else becomes "other"
     #: so probing scanners cannot grow the route map.
@@ -559,58 +630,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------
 
-    def log_message(self, *args: object) -> None:
-        """Silence per-request stderr logging."""
-
-    def _send_json(
-        self,
-        status: int,
-        body: dict | list,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
+    def _send_json(self, status: int, body: dict | list) -> None:
+        self._send_bytes(status, json.dumps(body).encode("utf-8"))
 
     def _read_body(self) -> dict:
-        """Parse the JSON request body, refusing to read unbounded bytes.
-
-        A missing/zero ``Content-Length`` is 411 (this server does not
-        accept chunked bodies) and one beyond :attr:`MAX_BODY_BYTES` is
-        413 — in both cases the body is *never read*, so a hostile
-        header cannot make the handler allocate; the connection closes
-        since unread bytes would poison the next keep-alive request.
-        """
-        raw_length = self.headers.get("Content-Length")
-        if raw_length is None:
-            self.close_connection = True
-            raise HttpError(411, "Content-Length required")
+        """Parse the JSON request body (a JSON object, or 400)."""
         try:
-            length = int(raw_length)
-        except ValueError as exc:
-            self.close_connection = True
-            raise HttpError(
-                411, f"invalid Content-Length {raw_length!r}"
-            ) from exc
-        if length <= 0:
-            self.close_connection = True
-            raise HttpError(411, "request body required")
-        if length > self.MAX_BODY_BYTES:
-            self.close_connection = True
-            raise HttpError(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{self.MAX_BODY_BYTES}-byte limit",
-            )
-        try:
-            body = json.loads(self.rfile.read(length))
+            body = json.loads(self._read_body_bytes())
         except json.JSONDecodeError as exc:
             raise BadRequest(f"invalid JSON body: {exc}") from exc
         if not isinstance(body, dict):
@@ -640,9 +666,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             self.context.metrics.observe(self._route(), 429, 0.0)
             self._send_json(
-                429,
-                {"error": "server overloaded (in-flight cap reached)"},
-                headers={"Retry-After": "1"},
+                429, {"error": "server overloaded (in-flight cap reached)"}
             )
             return
         started = time.monotonic()
@@ -669,8 +693,7 @@ class _Handler(BaseHTTPRequestHandler):
                 status, body = 400, {"error": str(exc)}
             except Exception as exc:  # reprolint: last-resort -- every handler error becomes a JSON 500
                 status, body = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            headers = {"Retry-After": "1"} if status == 429 else None
-            self._send_json(status, body, headers=headers)
+            self._send_json(status, body)
         finally:
             self.context.metrics.observe(
                 self._route(), status, time.monotonic() - started
@@ -683,15 +706,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes --------------------------------------------------------
 
+    def _unknown_path(self) -> tuple[int, dict]:
+        raise HttpError(404, f"unknown path {self.path!r}")
+
     def do_GET(self) -> None:  # noqa: N802 (stdlib API name)
-        if self.path == "/healthz":
-            self._dispatch(lambda: (200, self._health_body()))
-        elif self.path == "/metrics":
-            self._dispatch(lambda: (200, self._metrics_body()))
-        elif self.path == "/collections":
-            self._dispatch(lambda: (200, self.context.collections()))
-        else:
-            self._send_json(404, {"error": f"unknown path {self.path!r}"})
+        routes = {
+            "/healthz": lambda: (200, self._health_body()),
+            "/metrics": lambda: (200, self._metrics_body()),
+            "/collections": lambda: (200, self.context.collections()),
+        }
+        self._dispatch(routes.get(self.path, self._unknown_path))
 
     def _health_body(self) -> dict:
         body = self.context.health()
@@ -716,11 +740,7 @@ class _Handler(BaseHTTPRequestHandler):
             "/admin/save": self._post_save,
             "/admin/load": self._post_load,
         }
-        handler = routes.get(self.path)
-        if handler is None:
-            self._send_json(404, {"error": f"unknown path {self.path!r}"})
-            return
-        self._dispatch(handler)
+        self._dispatch(routes.get(self.path, self._unknown_path))
 
     def _post_search(self) -> tuple[int, dict]:
         body = self._read_body()
@@ -809,34 +829,37 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 # reprolint: disable=RL06 -- owns the server thread; process-local by construction
-class ServingServer:
-    """A :class:`ServingContext` behind a ``ThreadingHTTPServer``.
+class HttpService:
+    """One bound ``_TrackingHTTPServer`` and its lifecycle.
 
     ``port=0`` binds an ephemeral port (tests and benchmarks);
     :attr:`address` reports the bound ``(host, port)``. Run blocking via
     :meth:`serve_forever` (the CLI) or in a daemon thread via
-    :meth:`start` (tests, examples). :meth:`shutdown` is graceful and
-    idempotent: stop accepting, drain handlers, flush coalescers, close
-    the context. The server is also a context manager, guaranteeing
-    shutdown on the way out of a ``with`` block.
+    :meth:`start` (tests, examples); both call ``on_start`` first.
+    :meth:`shutdown` is graceful and idempotent: stop accepting, drain
+    the handlers that are executing, then ``on_close`` what they
+    depended on. Also a context manager, guaranteeing shutdown on the
+    way out of a ``with`` block.
     """
 
     def __init__(
         self,
-        context: ServingContext,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        max_inflight: int | None = None,
+        handler: type[_JsonHandler],
+        host: str,
+        port: int,
+        max_inflight: int | None,
+        on_close: Callable[[], object],
+        on_start: Callable[[], object] = lambda: None,
     ) -> None:
         if max_inflight is not None and max_inflight <= 0:
             raise ValueError(
                 f"max_inflight must be positive or None, got {max_inflight}"
             )
-        handler = type("BoundHandler", (_Handler,), {"context": context})
-        self._context = context
         self._httpd = _TrackingHTTPServer(
             (host, port), handler, max_inflight=max_inflight
         )
+        self._on_start = on_start
+        self._on_close = on_close
         self._thread: threading.Thread | None = None
         self._shutdown_once = threading.Lock()
         self._shut_down = False
@@ -853,12 +876,13 @@ class ServingServer:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    def start(self) -> "ServingServer":
+    def start(self) -> Self:
         """Serve in a background daemon thread; returns self."""
+        self._on_start()
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self._httpd.serve_forever,
-                name="serving-http",
+                name=f"{type(self).__name__}-http",
                 daemon=True,
             )
             self._thread.start()
@@ -866,6 +890,7 @@ class ServingServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`shutdown` (or ^C)."""
+        self._on_start()
         try:
             self._httpd.serve_forever()
         except KeyboardInterrupt:
@@ -874,7 +899,7 @@ class ServingServer:
             self.shutdown()
 
     def shutdown(self) -> None:
-        """Stop accepting, drain handlers, flush coalescers (idempotent)."""
+        """Stop accepting, drain handlers, run ``on_close`` (idempotent)."""
         with self._shutdown_once:
             if self._shut_down:
                 return
@@ -886,17 +911,37 @@ class ServingServer:
         # Handler threads are daemonic (idle keep-alive connections must
         # not pin the process), so server_close() does not join them —
         # drain the requests that are actually executing before tearing
-        # down what they depend on (coalescers, collections).
+        # down what they depend on (coalescers, collections, the prober).
         self._httpd.wait_idle(timeout=10.0)
         self._httpd.server_close()
         if self._thread is not None and (
             threading.current_thread() is not self._thread
         ):
             self._thread.join(timeout=5.0)
-        self._context.close()
+        self._on_close()
 
-    def __enter__(self) -> "ServingServer":
+    def __enter__(self) -> Self:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
+
+
+class ServingServer(HttpService):
+    """A :class:`ServingContext` behind an :class:`HttpService`.
+
+    Shutdown flushes the coalescers and closes the context exactly once.
+    """
+
+    def __init__(
+        self,
+        context: ServingContext,
+        host: str = "127.0.0.1",
+        port: int = 8080,
+        max_inflight: int | None = None,
+    ) -> None:
+        handler = type("BoundHandler", (_Handler,), {"context": context})
+        self._context = context
+        super().__init__(
+            handler, host, port, max_inflight, on_close=context.close
+        )

@@ -2,7 +2,7 @@
 
 One box stops being enough before one process does anything wrong:
 ``docs/resilience.md`` describes the fleet topology this module fronts —
-N ``repro serve`` replicas loaded from one shared v3 snapshot (cheap:
+N ``repro serve`` replicas loaded from one shared snapshot (cheap:
 the snapshot's vector matrices are mmap-ed, so replicas share page
 cache), one :class:`ReplicaRouter` spreading reads across them.
 
@@ -44,9 +44,8 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler
 
-from repro.serving.http import _TrackingHTTPServer
+from repro.serving.http import HttpError, HttpService, _JsonHandler
 from repro.vectordb.deadline import Deadline
 
 __all__ = ["Backend", "ReplicaRouter", "RetryPolicy", "RouterServer"]
@@ -418,35 +417,18 @@ def _json_error(message: str) -> bytes:
     return json.dumps({"error": message}).encode("utf-8")
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(_JsonHandler):
     """Forwards requests through the bound :class:`ReplicaRouter`."""
 
-    protocol_version = "HTTP/1.1"
     router: ReplicaRouter  # injected by RouterServer
-    server: _TrackingHTTPServer
 
-    MAX_BODY_BYTES = 8 * 1024 * 1024
-
-    def log_message(self, *args: object) -> None:
-        """Silence per-request stderr logging."""
-
-    def _send(self, status: int, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if status == 429:
-            self.send_header("Retry-After", "1")
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _forward(self, body: bytes | None) -> None:
+    def _forward(self, has_body: bool) -> None:
         if not self.server.request_began():
             self.close_connection = True
-            self._send(429, _json_error("router overloaded"))
+            self._send_bytes(429, _json_error("router overloaded"))
             return
         try:
+            body = self._read_body_bytes() if has_body else None
             headers = {
                 name: value
                 for name in _FORWARD_HEADERS
@@ -457,45 +439,29 @@ class _RouterHandler(BaseHTTPRequestHandler):
             status, payload = self.router.forward(
                 self.command, self.path, body, headers
             )
-            self._send(status, payload)
+            self._send_bytes(status, payload)
+        except HttpError as exc:
+            self._send_bytes(exc.status, _json_error(str(exc)))
         except (OSError, ValueError) as exc:
-            self._send(500, _json_error(f"router error: {exc}"))
+            self._send_bytes(500, _json_error(f"router error: {exc}"))
         finally:
             self.server.request_finished()
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib API name)
         if self.path == "/router/healthz":
             body = json.dumps(self.router.snapshot()).encode("utf-8")
-            self._send(200, body)
+            self._send_bytes(200, body)
             return
-        self._forward(None)
+        self._forward(has_body=False)
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib API name)
-        raw_length = self.headers.get("Content-Length")
-        try:
-            length = int(raw_length) if raw_length is not None else 0
-        except ValueError:
-            length = -1
-        if length <= 0:
-            self.close_connection = True
-            self._send(411, _json_error("Content-Length required"))
-            return
-        if length > self.MAX_BODY_BYTES:
-            self.close_connection = True
-            self._send(413, _json_error("request body too large"))
-            return
-        self._forward(self.rfile.read(length))
+        self._forward(has_body=True)
 
 
-# reprolint: disable=RL06 -- owns live sockets and threads; never pickled
-class RouterServer:
-    """The :class:`ReplicaRouter` behind an HTTP server (CLI: ``repro route``).
-
-    Mirrors :class:`~repro.serving.http.ServingServer`'s lifecycle:
-    ``port=0`` binds ephemerally, :meth:`start` serves on a daemon
-    thread, :meth:`shutdown` is graceful and idempotent and also closes
-    the router (prober joined).
-    """
+class RouterServer(HttpService):
+    """The :class:`ReplicaRouter` behind an :class:`HttpService` (CLI:
+    ``repro route``); starting it starts the health prober, shutting it
+    down joins it."""
 
     def __init__(
         self,
@@ -507,66 +473,7 @@ class RouterServer:
         handler = type("BoundRouterHandler", (_RouterHandler,), {
             "router": router,
         })
-        self._router = router
-        self._httpd = _TrackingHTTPServer(
-            (host, port), handler, max_inflight=max_inflight
+        super().__init__(
+            handler, host, port, max_inflight,
+            on_close=router.close, on_start=router.start,
         )
-        self._thread: threading.Thread | None = None
-        self._shutdown_once = threading.Lock()
-        self._shut_down = False
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` — useful with ``port=0``."""
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
-
-    @property
-    def url(self) -> str:
-        """Base URL of the bound router."""
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "RouterServer":
-        """Serve in a background daemon thread; starts the prober too."""
-        self._router.start()
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="router-http",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown` (or ^C)."""
-        self._router.start()
-        try:
-            self._httpd.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.shutdown()
-
-    def shutdown(self) -> None:
-        """Stop accepting, drain handlers, stop the prober (idempotent)."""
-        with self._shutdown_once:
-            if self._shut_down:
-                return
-            self._shut_down = True
-        if threading.current_thread() is not self._thread:
-            self._httpd.shutdown()
-        self._httpd.wait_idle(timeout=10.0)
-        self._httpd.server_close()
-        if self._thread is not None and (
-            threading.current_thread() is not self._thread
-        ):
-            self._thread.join(timeout=5.0)
-        self._router.close()
-
-    def __enter__(self) -> "RouterServer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()

@@ -8,11 +8,10 @@ shards — points route by CRC-32 of their id via
 thread pool and merge into the exact global top-k, filters evaluate per
 shard). :class:`VectorDBClient` fronts both (``create_collection(shards=N)``),
 and :func:`save_collection` / :func:`load_collection` snapshot both — one
-directory per plain collection, one sub-directory per shard (schema v3:
-raw memory-mappable vector matrices, persisted HNSW graphs, HNSW config,
-and payload-index fields; ``load_collection(..., mmap=True)`` serves
-large collections off the page cache, and v1/v2 snapshots still load —
-:func:`migrate_snapshot` upgrades them; see
+directory per plain collection, one sub-directory per shard (one
+layout: raw memory-mappable vector matrices, persisted HNSW graphs, HNSW
+config, and payload-index fields; ``load_collection(..., mmap=True)``
+serves large collections off the page cache; see
 :mod:`repro.vectordb.persistence`).
 
 Offline index lifecycle: ``build_hnsw`` on either backend constructs the

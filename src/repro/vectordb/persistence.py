@@ -1,6 +1,7 @@
 """Snapshot persistence for vector-database collections.
 
-Snapshot schema v4. A single-collection snapshot is a directory with:
+One on-disk layout (schema v4). A single-collection snapshot is a
+directory with:
 
 * ``vectors.npy`` — the dense float32 matrix, written uncompressed so a
   reload can ``np.load(..., mmap_mode="r")`` it and serve searches off
@@ -14,7 +15,7 @@ Snapshot schema v4. A single-collection snapshot is a directory with:
   missing, truncated, or config-mismatched graph file degrades to the
   old lazy rebuild with a :class:`RuntimeWarning`, never a failed load;
 * ``codes.npy`` + ``codebook.npz`` — the int8 scalar-quantized tier
-  (schema v4, written only for ``quantize="sq8"`` collections): raw
+  (written only for ``quantize="sq8"`` collections): raw
   uint8 codes mmap-able exactly like the vectors, the per-dimension
   min/step codebook, and a CRC-32 over both in the meta. A damaged or
   mismatched tier degrades the load to float32 serving with a
@@ -34,11 +35,12 @@ temporary sibling directory and swaps it into place by renames, so an
 interrupted save never leaves a half-written tree at the published path
 (and never destroys the previous snapshot there).
 
-Older schemas still load. v2 snapshots (``vectors.npz``, no graph) and
-v1 snapshots (no ``schema`` key, no ``hnsw``/``indexed_payload_fields``)
-reload bit-identically to before, with the HNSW graph rebuilt lazily —
-``migrate_snapshot`` (CLI ``snapshot migrate``) upgrades them in place.
-:func:`inspect_snapshot` summarizes any snapshot without loading it.
+Schema 3 is the same layout without the quantized-tier files and still
+loads; anything older (schema 2's compressed vectors, schema 1's missing
+``schema`` key) is refused by every entry point with one
+:class:`~repro.errors.CollectionError` naming the schema found and the
+last commit whose ``snapshot migrate`` upgrades it.
+:func:`inspect_snapshot` summarizes a snapshot without loading it.
 
 Durability: a snapshot directory may have a *sibling* write-ahead log
 directory (``<name>.wal/``, one ``shard-NN.wal`` per shard — a sibling
@@ -65,10 +67,9 @@ shard count without touching embeddings — every point is re-routed by
 ``shard_for(id, new_shards)`` while the global insertion order, payload
 indexes, and HNSW config carry over — so deployments can scale a
 collection's shard count up or down offline instead of being frozen at
-whatever ``shards=N`` it was created with. Resharding re-emits schema v3
-but drops graph files (the per-shard membership changed, so the old
-graphs are meaningless); run ``snapshot migrate`` after to re-persist
-freshly built graphs.
+whatever ``shards=N`` it was created with. Resharding drops graph files
+(the per-shard membership changed, so the old graphs are meaningless);
+run ``snapshot migrate`` after to re-persist freshly built graphs.
 """
 
 from __future__ import annotations
@@ -100,19 +101,20 @@ from repro.vectordb.wal import (
     wal_directory,
 )
 
-#: Current snapshot schema version. v4 = v3 + the optional quantized
-#: tier (``codes.npy`` + ``codebook.npz`` + ``quantize``/``sq8_checksum``
-#: meta keys); v4 snapshots of unquantized collections are byte-for-byte
-#: v3 layouts apart from the version number, and v1–v3 still load.
+#: The schema every snapshot is written with. v4 = v3 + the optional
+#: quantized tier (``codes.npy`` + ``codebook.npz`` + ``quantize`` /
+#: ``sq8_checksum`` meta keys), so both read through one code path.
 SCHEMA_VERSION = 4
+READABLE_SCHEMAS = (3, SCHEMA_VERSION)
+#: The last commit whose ``repro snapshot migrate`` reads schemas 1 and 2.
+LAST_LEGACY_READER = "9ec0bb4"
 
 _META_FILE = "meta.json"
-_VECTORS_FILE_V3 = "vectors.npy"
-_VECTORS_FILE_LEGACY = "vectors.npz"
+_VECTORS_FILE = "vectors.npy"
 _PAYLOADS_FILE = "payloads.jsonl"
 _GRAPH_FILE = "graph.npz"
-#: Schema v4 quantized tier: raw uint8 codes (mmap-able, like
-#: ``vectors.npy``) and the small per-dimension codebook.
+#: The quantized tier: raw uint8 codes (mmap-able, like ``vectors.npy``)
+#: and the small per-dimension codebook.
 _CODES_FILE = "codes.npy"
 _CODEBOOK_FILE = "codebook.npz"
 
@@ -268,7 +270,6 @@ def _swap_into_place(staged: Path, final: Path) -> None:
 def save_collection(
     collection: AnyCollection,
     directory: str | Path,
-    schema: int = SCHEMA_VERSION,
     include_graphs: bool = True,
 ) -> None:
     """Write ``collection`` to ``directory`` (created if needed).
@@ -276,16 +277,14 @@ def save_collection(
     Dispatches on the backend: plain collections write one snapshot,
     sharded collections write per-shard snapshot directories plus a
     top-level manifest with the shard count and global insertion order.
-    Fully built HNSW graphs are persisted alongside the vectors (schema
-    v3), so the next :func:`load_collection` skips reconstruction.
+    Fully built HNSW graphs are persisted alongside the vectors, so the
+    next :func:`load_collection` skips reconstruction.
 
     The write is atomic: everything lands in a temporary sibling of
     ``directory`` and is renamed into place on success, so a crash or an
     exception mid-save never corrupts an existing snapshot at the target
-    path. ``schema=2`` writes the previous on-disk layout (compressed
-    vectors, no graph files) for compatibility tooling and benchmarks;
-    ``include_graphs=False`` omits graph files from a v3 snapshot
-    (``snapshot migrate --no-graphs``).
+    path. ``include_graphs=False`` omits the graph files (``snapshot
+    migrate --no-graphs``).
 
     The save is also consistent under concurrent writes: the state to
     serialize is captured as per-shard :class:`SnapshotView`\\ s under the
@@ -301,8 +300,6 @@ def save_collection(
     Before staging, temp siblings stranded by previously interrupted
     saves are swept (see :func:`_sweep_stale_temps`).
     """
-    if schema not in (2, 3, SCHEMA_VERSION):
-        raise CollectionError(f"cannot write snapshot schema {schema}")
     directory = Path(directory)
     directory.parent.mkdir(parents=True, exist_ok=True)
     _sweep_stale_temps(directory)
@@ -312,7 +309,7 @@ def save_collection(
                 shard.snapshot_view()
                 for shard in collection.shard_collections
             ]
-            meta = _base_meta(collection, schema)
+            meta = _base_meta(collection)
             meta["shards"] = collection.n_shards
             meta["order"] = list(collection.point_order)
     else:
@@ -327,12 +324,10 @@ def save_collection(
         if meta is not None:
             staged.mkdir(parents=True)
             for index, view in enumerate(views):
-                _save_view(
-                    view, _shard_dir(staged, index), schema, include_graphs
-                )
+                _save_view(view, _shard_dir(staged, index), include_graphs)
             (staged / _META_FILE).write_text(json.dumps(meta, indent=2))
         else:
-            _save_view(views[0], staged, schema, include_graphs)
+            _save_view(views[0], staged, include_graphs)
     except BaseException:
         shutil.rmtree(staged, ignore_errors=True)
         raise
@@ -360,17 +355,15 @@ def load_collection(
     """Read a collection written by :func:`save_collection`.
 
     ``hnsw`` overrides the snapshot's stored config; when omitted, the
-    config active at save time is restored (v1 snapshots fall back to
-    defaults). Payload indexes recorded in the snapshot are rebuilt, and
-    persisted HNSW graphs (schema v3) are attached instead of rebuilt —
-    unless the graph file is damaged or disagrees with the collection,
-    in which case the load degrades to the lazy rebuild with a warning.
+    config active at save time is restored. Payload indexes recorded in
+    the snapshot are rebuilt, and persisted HNSW graphs are attached
+    instead of rebuilt — unless the graph file is damaged or disagrees
+    with the collection, in which case the load degrades to the lazy
+    rebuild with a warning.
 
     ``mmap=True`` memory-maps the vector matrix read-only instead of
-    loading it into RAM (schema v3 only; older snapshots store
-    compressed vectors and load eagerly with a warning). Searches read
-    straight off the page cache; a later upsert copies on write, leaving
-    the snapshot file untouched.
+    loading it into RAM. Searches read straight off the page cache; a
+    later upsert copies on write, leaving the snapshot file untouched.
 
     Crash recovery: if the snapshot has a sibling WAL directory, its
     intact record prefix is replayed on top of the loaded state —
@@ -395,9 +388,9 @@ def load_collection(
             f"unknown WAL fsync mode {wal!r}; use one of {FSYNC_MODES}"
         )
     meta = _read_meta(directory)
-    hnsw_config = hnsw or _stored_hnsw(meta)
+    hnsw_config = hnsw or HnswConfig(**meta["hnsw"])
     # The "shards" key marks the sharded layout (written for ANY shard
-    # count, including 1); plain and v1 snapshots never carry it.
+    # count, including 1); plain snapshots never carry it.
     if "shards" in meta:
         shards = [
             _load_single(_shard_dir(directory, index), hnsw_config, mmap=mmap)
@@ -471,18 +464,15 @@ def inspect_snapshot(directory: str | Path) -> dict:
     """
     directory = Path(directory)
     meta = _read_meta(directory)
-    schema = meta.get("schema", 1)
     info: dict = {
         "path": str(directory),
-        "schema": schema,
+        "schema": meta["schema"],
         "name": meta["name"],
         "metric": meta["metric"],
         "count": meta["count"],
-        "dim": meta.get("dim"),
-        "hnsw": meta.get("hnsw"),
-        "indexed_payload_fields": sorted(
-            meta.get("indexed_payload_fields", ())
-        ),
+        "dim": meta["dim"],
+        "hnsw": meta["hnsw"],
+        "indexed_payload_fields": sorted(meta["indexed_payload_fields"]),
         "quantize": meta.get("quantize"),
     }
     if "shards" in meta:
@@ -495,16 +485,13 @@ def inspect_snapshot(directory: str | Path) -> dict:
         info["shards"] = None
     details = []
     for shard_path in shard_dirs:
-        if (shard_path / _VECTORS_FILE_V3).exists():
-            vector_format = "npy"
-        elif (shard_path / _VECTORS_FILE_LEGACY).exists():
-            vector_format = "npz"
-        else:
-            vector_format = "missing"
         details.append(
             {
                 "path": str(shard_path),
-                "vector_format": vector_format,
+                "vector_format": (
+                    "npy" if (shard_path / _VECTORS_FILE).exists()
+                    else "missing"
+                ),
                 "graph": (shard_path / _GRAPH_FILE).exists(),
                 "codes": (shard_path / _CODES_FILE).exists(),
             }
@@ -555,17 +542,17 @@ def migrate_snapshot(
     build_graphs: bool = True,
     quantize: str | None = None,
 ) -> Path:
-    """Rewrite any loadable snapshot as schema v4 (CLI ``snapshot migrate``).
+    """Rewrite a snapshot as schema v4 (CLI ``snapshot migrate``).
 
-    Loads the snapshot (any schema), optionally builds missing HNSW
-    graphs so they are persisted too (``build_graphs=True``, the default
+    Loads the snapshot, optionally builds missing HNSW graphs so they
+    are persisted too (``build_graphs=True``, the default
     — the whole point of migrating is a fast cold start), and saves it
     back atomically. ``build_graphs=False`` writes no graph files at all,
     even ones the source snapshot carried — the opt-out exists to strip
     graphs, not merely to skip building them. ``quantize="sq8"`` fits a
     codebook and persists the quantized tier for a snapshot that never
     had one (an existing tier is carried over either way — migration is
-    also how a pre-v4 snapshot gains codes without re-ingesting).
+    also how a v3 snapshot gains codes without re-ingesting).
     ``out_dir`` defaults to rewriting in place. Returns the directory
     written. Raises :class:`~repro.errors.CollectionError` when
     ``snapshot_dir`` holds no loadable snapshot; the target is untouched
@@ -602,8 +589,8 @@ def reshard_snapshot(
     """Rewrite a snapshot with its points re-routed across ``new_shards``.
 
     Works on any :func:`save_collection` output — sharded snapshots of
-    any shard count, plain single-collection snapshots (treated as one
-    source shard), and v1/v2 snapshots. Source shards are streamed one at
+    any shard count and plain single-collection snapshots (treated as
+    one source shard). Source shards are streamed one at
     a time (raw arrays only; no collections or HNSW graphs are
     instantiated), each point lands in ``shard_for(id, new_shards)``,
     and within every new shard points keep their global-insertion-order
@@ -654,11 +641,9 @@ def reshard_snapshot(
     buckets: list[list[tuple[int, str, np.ndarray, dict]]] = [
         [] for _ in range(new_shards)
     ]
-    dim = meta.get("dim")  # v1 single snapshots: fall back to the matrix
+    dim = meta["dim"]
     for source_dir in source_dirs:
         vectors, ids, payloads = _read_single_raw(source_dir)
-        if dim is None and vectors.ndim == 2:
-            dim = int(vectors.shape[1])
         for row, (point_id, payload) in enumerate(zip(ids, payloads)):
             if position:
                 rank = position.get(point_id)
@@ -680,10 +665,8 @@ def reshard_snapshot(
             f"global order lists {len(order)}"
         )
 
-    hnsw = meta.get("hnsw") or asdict(HnswConfig())
-    indexed = sorted(meta.get("indexed_payload_fields", ()))
-    if dim is None:
-        dim = 1
+    hnsw = meta["hnsw"]
+    indexed = sorted(meta["indexed_payload_fields"])
 
     target.mkdir(parents=True, exist_ok=False)
     try:
@@ -735,18 +718,17 @@ def _meta_dict(
     count: int,
     hnsw: dict,
     indexed: list[str],
-    schema: int = SCHEMA_VERSION,
     quantize: str | None = None,
     sq8_checksum: int | None = None,
 ) -> dict:
     """The one place snapshot ``meta.json`` keys are spelled out.
 
-    ``quantize``/``sq8_checksum`` (schema v4) are written only when the
-    collection carries a quantized tier, so unquantized v4 metas stay
-    key-compatible with v3.
+    ``quantize``/``sq8_checksum`` are written only when the collection
+    carries a quantized tier, so unquantized metas stay key-compatible
+    with schema 3.
     """
     meta = {
-        "schema": schema,
+        "schema": SCHEMA_VERSION,
         "name": name,
         "dim": dim,
         "metric": metric,
@@ -761,7 +743,7 @@ def _meta_dict(
     return meta
 
 
-def _base_meta(collection: AnyCollection, schema: int = SCHEMA_VERSION) -> dict:
+def _base_meta(collection: AnyCollection) -> dict:
     return _meta_dict(
         name=collection.name,
         dim=collection.dim,
@@ -769,10 +751,7 @@ def _base_meta(collection: AnyCollection, schema: int = SCHEMA_VERSION) -> dict:
         count=len(collection),
         hnsw=asdict(collection.hnsw_config),
         indexed=sorted(collection.indexed_payload_fields),
-        schema=schema,
-        quantize=(
-            getattr(collection, "quantize", None) if schema >= 4 else None
-        ),
+        quantize=getattr(collection, "quantize", None),
     )
 
 
@@ -794,7 +773,6 @@ def _sq8_checksum(
 def _save_view(
     view: SnapshotView,
     directory: Path,
-    schema: int = SCHEMA_VERSION,
     include_graphs: bool = True,
 ) -> None:
     """Serialize one consistently captured :class:`SnapshotView`.
@@ -804,10 +782,6 @@ def _save_view(
     slice of live storage (rows the view covers are immutable), so even
     an mmap-served collection saves without materializing its matrix.
     """
-    graph_arrays = (
-        view.graph_arrays if (schema >= 3 and include_graphs) else None
-    )
-    quantize = view.quantize if schema >= 4 else None
     _write_single_raw(
         directory,
         name=view.name,
@@ -818,11 +792,10 @@ def _save_view(
         payloads=view.payloads,
         hnsw=asdict(view.hnsw),
         indexed=list(view.indexed_fields),
-        schema=schema,
-        graph_arrays=graph_arrays,
-        quantize=quantize,
-        codes=view.codes if quantize else None,
-        codebook=view.codebook if quantize else None,
+        graph_arrays=view.graph_arrays if include_graphs else None,
+        quantize=view.quantize,
+        codes=view.codes if view.quantize else None,
+        codebook=view.codebook if view.quantize else None,
     )
 
 
@@ -836,7 +809,6 @@ def _write_single_raw(
     payloads: list[dict],
     hnsw: dict,
     indexed: list[str],
-    schema: int = SCHEMA_VERSION,
     graph_arrays: dict | None = None,
     quantize: str | None = None,
     codes: np.ndarray | None = None,
@@ -848,20 +820,17 @@ def _write_single_raw(
     :meth:`~repro.vectordb.hnsw.HNSWIndex.to_arrays` — arrays rather
     than a live index, because save captures the graph under the write
     lock (a live index could keep growing) and workers only need the
-    arrays anyway. ``codes``/``codebook`` (schema v4, quantized
-    collections) land in ``codes.npy`` — raw, so loads can mmap it like
-    the vectors — and ``codebook.npz``; their CRC-32 goes into the meta
+    arrays anyway. ``codes``/``codebook`` (quantized collections) land
+    in ``codes.npy`` — raw, so loads can mmap it like the vectors — and
+    ``codebook.npz``; their CRC-32 goes into the meta
     so a load can tell bit rot from a valid-but-different tier.
     """
     directory.mkdir(parents=True, exist_ok=True)
-    if schema >= 3:
-        # Raw .npy so loads can memory-map the matrix directly.
-        np.save(
-            directory / _VECTORS_FILE_V3,
-            np.ascontiguousarray(vectors, dtype=np.float32),
-        )
-    else:
-        np.savez_compressed(directory / _VECTORS_FILE_LEGACY, vectors=vectors)
+    # Raw .npy so loads can memory-map the matrix directly.
+    np.save(
+        directory / _VECTORS_FILE,
+        np.ascontiguousarray(vectors, dtype=np.float32),
+    )
     if graph_arrays is not None:
         np.savez(directory / _GRAPH_FILE, **graph_arrays)
     sq8_checksum = None
@@ -883,40 +852,10 @@ def _write_single_raw(
             )
     meta = _meta_dict(
         name=name, dim=dim, metric=metric, count=len(ids),
-        hnsw=hnsw, indexed=indexed, schema=schema,
+        hnsw=hnsw, indexed=indexed,
         quantize=quantize, sq8_checksum=sq8_checksum,
     )
     (directory / _META_FILE).write_text(json.dumps(meta, indent=2))
-
-
-def _load_vectors(
-    directory: Path, mmap: bool = False, schema: int | None = None
-) -> np.ndarray:
-    """The snapshot's vector matrix, from either on-disk format."""
-    v3_path = directory / _VECTORS_FILE_V3
-    if v3_path.exists():
-        return np.load(v3_path, mmap_mode="r" if mmap else None)
-    if schema is not None and schema >= 3:
-        # Don't fall through to the legacy file: naming vectors.npz in
-        # the error would send the operator after a file this snapshot
-        # never contained.
-        raise FileNotFoundError(
-            f"snapshot at {directory} declares schema {schema} but its "
-            f"{_VECTORS_FILE_V3} is missing"
-        )
-    if mmap:
-        warnings.warn(
-            f"snapshot at {directory} predates schema v3 (compressed "
-            "vectors); mmap=True loads it eagerly — run `snapshot "
-            "migrate` to enable memory-mapped serving",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    with np.load(directory / _VECTORS_FILE_LEGACY) as npz:
-        # copy=False: v2 archives store float32, so decompression is the
-        # only materialization — the old unconditional astype re-copied
-        # the entire matrix a second time on every load.
-        return npz["vectors"].astype(np.float32, copy=False)
 
 
 def _read_single_raw(
@@ -930,7 +869,9 @@ def _read_single_raw(
     reshard (always eager)."""
     if meta is None:
         meta = _read_meta(directory)
-    vectors = _load_vectors(directory, mmap=mmap, schema=meta.get("schema"))
+    vectors = np.load(
+        directory / _VECTORS_FILE, mmap_mode="r" if mmap else None
+    )
     ids: list[str] = []
     payloads: list[dict] = []
     with open(directory / _PAYLOADS_FILE, encoding="utf-8") as fh:
@@ -951,22 +892,26 @@ def _read_single_raw(
 
 
 def _read_meta(directory: Path) -> dict:
+    """The snapshot's ``meta.json``; the one gate on readable schemas."""
     meta_path = directory / _META_FILE
     if not meta_path.exists():
         raise CollectionError(f"no collection snapshot at {directory}")
-    return json.loads(meta_path.read_text())
-
-
-def _stored_hnsw(meta: dict) -> HnswConfig | None:
-    stored = meta.get("hnsw")
-    return HnswConfig(**stored) if stored else None
+    meta = json.loads(meta_path.read_text())
+    found = meta.get("schema", 1)  # v1 metas predate the key
+    if found not in READABLE_SCHEMAS:
+        raise CollectionError(
+            f"snapshot at {directory} has schema {found}; this version "
+            f"reads schemas {READABLE_SCHEMAS}. `repro snapshot migrate` at "
+            f"commit {LAST_LEGACY_READER} is the last that upgrades it"
+        )
+    return meta
 
 
 def _attach_stored_graph(
     collection: Collection,
     directory: Path,
     config: HnswConfig,
-    stored: HnswConfig | None,
+    stored: HnswConfig,
 ) -> None:
     """Attach ``graph.npz`` to a freshly loaded collection, if usable.
 
@@ -978,7 +923,8 @@ def _attach_stored_graph(
     is a search-time knob) means the caller *wants* a different graph.
     The seed lives only in the snapshot's stored config (``stored``),
     not the graph header, so both are checked. Any problem degrades to
-    the pre-v3 behaviour (lazy rebuild on first approximate search)
+    a graph-less snapshot's behaviour (lazy rebuild on first approximate
+    search)
     with a :class:`RuntimeWarning`; a load never fails over its graph
     file.
     """
@@ -986,9 +932,8 @@ def _attach_stored_graph(
     if not graph_path.exists():
         return
     try:
-        if stored is not None and (
-            (config.m, config.ef_construction, config.seed)
-            != (stored.m, stored.ef_construction, stored.seed)
+        if (config.m, config.ef_construction, config.seed) != (
+            stored.m, stored.ef_construction, stored.seed
         ):
             raise ValueError(
                 f"graph built with (m={stored.m}, "
@@ -1086,7 +1031,7 @@ def _attach_quantized_tier(
 
 def _load_single(
     directory: Path,
-    hnsw: HnswConfig | None,
+    hnsw: HnswConfig,
     meta: dict | None = None,
     mmap: bool = False,
 ) -> Collection:
@@ -1099,13 +1044,13 @@ def _load_single(
         ids=ids,
         payloads=payloads,
         metric=Metric(meta["metric"]),
-        hnsw=hnsw or _stored_hnsw(meta),
-        dim=meta.get("dim"),
+        hnsw=hnsw,
+        dim=meta["dim"],
     )
-    for field in meta.get("indexed_payload_fields", ()):
+    for field in meta["indexed_payload_fields"]:
         collection.create_payload_index(field)
     _attach_stored_graph(
-        collection, directory, collection.hnsw_config, _stored_hnsw(meta)
+        collection, directory, hnsw, HnswConfig(**meta["hnsw"])
     )
     _attach_quantized_tier(collection, directory, meta, mmap=mmap)
     return collection

@@ -25,6 +25,7 @@ Locks down the sq8 tier's acceptance surface:
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
@@ -391,8 +392,11 @@ class TestSchemaV4:
         plain.upsert(_points(vecs))
         plain.build_hnsw()
         snap = tmp_path / "v3"
-        save_collection(plain, snap, schema=3)
+        save_collection(plain, snap)
         plain.close()
+        meta = json.loads((snap / "meta.json").read_text())
+        meta["schema"] = 3  # same layout; no writer emits v3 any more
+        (snap / "meta.json").write_text(json.dumps(meta))
         migrate_snapshot(snap, tmp_path / "v4", quantize="sq8")
         info = inspect_snapshot(tmp_path / "v4")
         assert info["schema"] == 4 and info["quantize"] == "sq8"

@@ -738,6 +738,42 @@ class TestRouterServer:
                 conn.close()
 
 
+def _unstarted_server(kind: str, **kwargs):
+    """A bound-but-not-serving ServingServer or RouterServer (port 0)."""
+    if kind == "serving":
+        client = VectorDBClient()
+        client.create_collection("pts", dim=DIM)
+        context = ServingContext(client, coalesce=False)
+        return ServingServer(context, port=0, **kwargs)
+    router = ReplicaRouter(["127.0.0.1:1"], health_interval_s=60.0)
+    return RouterServer(router, port=0, **kwargs)
+
+
+class TestHttpServiceLifecycle:
+    """Both fronts share one lifecycle; hold them to one set of assertions."""
+
+    @pytest.mark.parametrize(
+        "kind, probe",
+        [("serving", "/healthz"), ("router", "/router/healthz")],
+    )
+    def test_lifecycle(self, kind, probe):
+        with pytest.raises(ValueError, match="max_inflight"):
+            _unstarted_server(kind, max_inflight=0)
+        with _unstarted_server(kind, max_inflight=4) as server:
+            host, port = server.address
+            assert port != 0  # the ephemeral port is reported once bound
+            assert server.url == f"http://{host}:{port}"
+            assert server.start() is server
+            assert server.start() is server  # second start is a no-op
+            status, body = _http(server.url, probe)
+            assert status == 200 and body["status"] == "ok"
+        # the with block shut it down; further shutdowns are no-ops
+        server.shutdown()
+        server.shutdown()
+        with pytest.raises(OSError):
+            _http(server.url, probe)
+
+
 # ----------------------------------------------------------------------
 # fleet durability: SIGKILL the primary mid-burst
 # ----------------------------------------------------------------------

@@ -490,6 +490,40 @@ class TestHttpServer:
         status, _ = _http(srv.url, "/healthz")
         assert status == 200
 
+    def test_unknown_paths_are_observed_as_other(self, server):
+        """404s go through the same dispatch as every route: counted,
+        timed, and labelled "other" so scanners cannot grow the map."""
+        srv, _ = server
+        for _ in range(3):
+            assert _http_error(srv.url, "/nope") == 404
+        _, metrics = _http(srv.url, "/metrics")
+        assert metrics["requests_total"] == 3
+        assert metrics["errors_total"] == 3
+        assert metrics["latency_ms"]["other"]["count"] == 3
+
+    def test_unknown_post_does_not_poison_the_connection(self, server):
+        """A POST to an unknown path leaves its body unread, so the
+        connection must close — on a kept-alive socket the body would be
+        parsed as the start of the next request."""
+        import http.client
+
+        srv, _ = server
+        conn = http.client.HTTPConnection(*srv.address, timeout=30)
+        try:
+            conn.request("POST", "/nope", body=b'{"x": 1}')
+            response = conn.getresponse()
+            assert response.status == 404
+            assert json.loads(response.read()) == {
+                "error": "unknown path '/nope'"
+            }
+            assert response.getheader("Connection") == "close"
+            conn.request("GET", "/healthz")  # http.client reconnects
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        finally:
+            conn.close()
+
     def test_bounded_body_reads_411_and_413(self, server):
         """Missing/invalid Content-Length is 411, oversized is 413 —
         refused without reading a byte, and the connection closes (an

@@ -1,8 +1,9 @@
-"""Snapshot schema v3: compatibility matrix, graph persistence, mmap.
+"""Snapshot layout: schema gate, graph persistence, mmap.
 
-Locks down ISSUE 4's acceptance surface:
+Locks down the snapshot acceptance surface:
 
-* v1 and v2 snapshots keep loading under v3 code, bit-identically;
+* v1 and v2 snapshots are refused by every entry point with one error
+  naming the schema found and the last commit that upgrades them;
 * persisted graphs are attached on load and answer searches identically
   to the collection they were saved from;
 * a truncated/corrupted/mismatched ``graph.npz`` degrades to the lazy
@@ -28,6 +29,7 @@ from repro.vectordb.persistence import (
     inspect_snapshot,
     load_collection,
     migrate_snapshot,
+    reshard_snapshot,
     save_collection,
 )
 from repro.vectordb.sharded import ShardedCollection
@@ -67,13 +69,31 @@ def _build(shards: int = 1, build_graph: bool = True):
     return collection, vecs
 
 
-def _downgrade_to_v1(directory) -> None:
-    """Strip the keys v2 added, making the snapshot a faithful v1."""
-    meta_path = directory / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    for key in ("schema", "hnsw", "indexed_payload_fields"):
-        meta.pop(key, None)
-    meta_path.write_text(json.dumps(meta))
+def _rewrite_metas(directory, edit) -> None:
+    """Apply ``edit(meta)`` to the manifest and every shard's meta."""
+    for meta_path in directory.rglob("meta.json"):
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+
+
+def _downgrade(directory, legacy: str) -> None:
+    """Hand-build the v1/v2 layout no writer produces any more: v2 is
+    ``"schema": 2`` over compressed ``vectors.npz``; v1 has no
+    ``schema``/``hnsw``/``indexed_payload_fields`` meta keys at all."""
+    def edit(meta: dict) -> None:
+        if legacy == "v2":
+            meta["schema"] = 2
+        else:
+            for key in ("schema", "hnsw", "indexed_payload_fields"):
+                del meta[key]
+
+    _rewrite_metas(directory, edit)
+    for vectors_path in directory.rglob("vectors.npy"):
+        np.savez_compressed(
+            vectors_path.with_suffix(".npz"), vectors=np.load(vectors_path)
+        )
+        vectors_path.unlink()
 
 
 def _assert_identical(loaded, original, queries) -> None:
@@ -94,25 +114,30 @@ def _assert_identical(loaded, original, queries) -> None:
 class TestCompatibilityMatrix:
     @pytest.mark.parametrize("shards", [1, 4])
     @pytest.mark.parametrize("legacy", ["v1", "v2"])
-    def test_legacy_snapshots_load_bit_identically(
-        self, tmp_path, shards, legacy
-    ):
-        original, vecs = _build(shards=shards, build_graph=False)
+    def test_legacy_snapshots_are_refused(self, tmp_path, shards, legacy):
+        from repro.cli import main
+
+        original, _ = _build(shards=shards, build_graph=False)
         snap = tmp_path / "snap"
-        save_collection(original, snap, schema=2)
-        if legacy == "v1":
-            if shards == 1:
-                _downgrade_to_v1(snap)
-            else:
-                # v1 predates sharded snapshots; keep the shard manifest
-                # but strip the per-shard v2 keys.
-                for index in range(shards):
-                    _downgrade_to_v1(snap / f"shard-{index:02d}")
-        loaded = load_collection(snap)
-        _assert_identical(loaded, original, vecs[:16])
-        assert loaded.hnsw_config == original.hnsw_config
-        loaded.close()
+        save_collection(original, snap)
         original.close()
+        _downgrade(snap, legacy)
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        found = {"v1": 1, "v2": 2}[legacy]
+        entry_points = [
+            lambda: load_collection(snap),
+            lambda: inspect_snapshot(snap),
+            lambda: migrate_snapshot(snap),
+            lambda: reshard_snapshot(snap, 2),
+            lambda: main(["snapshot", "inspect", str(snap)]),
+        ]
+        for entry_point in entry_points:
+            with pytest.raises(
+                CollectionError, match=rf"schema {found};.*\(3, 4\).*9ec0bb4"
+            ):
+                entry_point()
+        # refused before anything was written next to (or over) it
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_v3_round_trip_attaches_graphs(self, tmp_path, shards):
@@ -137,6 +162,22 @@ class TestCompatibilityMatrix:
         loaded.close()
         original.close()
 
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_schema_3_loads_identically_to_its_v4_twin(self, tmp_path, shards):
+        """No writer emits ``"schema": 3`` any more, but it is the same
+        layout minus the optional sq8 files and must keep loading."""
+        original, vecs = _build(shards=shards)
+        snap = tmp_path / "snap"
+        save_collection(original, snap)
+        _rewrite_metas(snap, lambda meta: meta.update(schema=3))
+        assert inspect_snapshot(snap)["schema"] == 3
+        for mmap in (False, True):
+            loaded = load_collection(snap, mmap=mmap)
+            assert loaded.hnsw_is_built  # graphs attached, not rebuilt
+            _assert_identical(loaded, original, vecs[:16])
+            loaded.close()
+        original.close()
+
     def test_migrate_no_graphs_strips_existing_graph_files(self, tmp_path):
         """--no-graphs must remove graph files, not just skip building:
         the opt-out exists to strip a suspect or unwanted graph."""
@@ -150,21 +191,6 @@ class TestCompatibilityMatrix:
         assert not info["graphs_persisted"]
         loaded = load_collection(snap)
         assert not loaded.hnsw_is_built  # rebuilt lazily, as requested
-        loaded.close()
-        original.close()
-
-    def test_migrate_upgrades_v2_in_place(self, tmp_path):
-        original, vecs = _build(shards=4, build_graph=False)
-        snap = tmp_path / "snap"
-        save_collection(original, snap, schema=2)
-        assert not inspect_snapshot(snap)["mmap_capable"]
-        migrate_snapshot(snap)
-        info = inspect_snapshot(snap)
-        assert info["schema"] == 4
-        assert info["mmap_capable"] and info["graphs_persisted"]
-        loaded = load_collection(snap, mmap=True)
-        assert loaded.hnsw_is_built
-        _assert_identical(loaded, original, vecs[:16])
         loaded.close()
         original.close()
 
@@ -308,16 +334,6 @@ class TestMmap:
         loaded.close()
         original.close()
 
-    def test_mmap_on_legacy_snapshot_warns_and_loads_eagerly(self, tmp_path):
-        original, vecs = _build(build_graph=False)
-        snap = tmp_path / "snap"
-        save_collection(original, snap, schema=2)
-        with pytest.warns(RuntimeWarning, match="predates schema v3"):
-            loaded = load_collection(snap, mmap=True)
-        _assert_identical(loaded, original, vecs[:8])
-        loaded.close()
-        original.close()
-
 
 class TestAtomicSave:
     def test_interrupted_save_preserves_existing_snapshot(
@@ -384,12 +400,6 @@ class TestAtomicSave:
         collection.close()
         assert [p.name for p in tmp_path.iterdir()] == ["snap"]
 
-    def test_save_refuses_unknown_schema(self, tmp_path):
-        original, _ = _build(build_graph=False)
-        with pytest.raises(CollectionError, match="schema"):
-            save_collection(original, tmp_path / "snap", schema=99)
-        original.close()
-
     def test_save_overwrites_previous_snapshot_atomically(self, tmp_path):
         first, _ = _build(build_graph=False)
         snap = tmp_path / "snap"
@@ -432,14 +442,14 @@ class TestCli:
     def test_snapshot_inspect_and_migrate(self, tmp_path, capsys):
         from repro.cli import main
 
-        original, _ = _build(shards=2, build_graph=False)
+        original, _ = _build(shards=2)
         snap = tmp_path / "snap"
-        save_collection(original, snap, schema=2)
+        save_collection(original, snap, include_graphs=False)
         original.close()
 
         assert main(["snapshot", "inspect", str(snap)]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["schema"] == 2 and out["shards"] == 2
+        assert out["shards"] == 2 and not out["graphs_persisted"]
 
         assert main(["snapshot", "migrate", str(snap)]) == 0
         assert "schema 4" in capsys.readouterr().out

@@ -220,20 +220,3 @@ class TestPersistence:
         assert load_collection(
             tmp_path / "snap", hnsw=override
         ).hnsw_config == override
-
-    def test_v1_snapshot_without_new_keys_loads(self, collection, tmp_path):
-        """Old snapshots (no schema/hnsw/indexed fields) keep loading."""
-        import json
-
-        from repro.vectordb.collection import HnswConfig
-
-        save_collection(collection, tmp_path / "snap")
-        meta_path = tmp_path / "snap" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        for key in ("schema", "hnsw", "indexed_payload_fields"):
-            meta.pop(key)
-        meta_path.write_text(json.dumps(meta))
-        loaded = load_collection(tmp_path / "snap")
-        assert len(loaded) == len(collection)
-        assert loaded.indexed_payload_fields == frozenset()
-        assert loaded.hnsw_config == HnswConfig()

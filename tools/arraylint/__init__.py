@@ -10,13 +10,12 @@ shape/dtype contracts on the public numeric entrypoints. Run
 
 from tools.arraylint.core import (
     Directives,
-    Finding,
-    LintContext,
     lint_source,
     main,
     parse_directives,
     run_paths,
 )
+from tools.lintcore import Finding, LintContext
 
 __all__ = [
     "Directives",

@@ -43,7 +43,7 @@ import ast
 from collections.abc import Iterator
 from pathlib import PurePosixPath
 
-from tools.arraylint.core import Finding, LintContext
+from tools.lintcore import Finding, LintContext
 
 #: Path components that mark a "hot" numeric module: these hold (or
 #: feed) the per-vector data plane, where a stray float64 or hidden

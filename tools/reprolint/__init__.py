@@ -1,13 +1,7 @@
 """reprolint: static analysis for this repo's concurrency invariants."""
 
-from tools.reprolint.core import (
-    Finding,
-    LintContext,
-    lint_source,
-    main,
-    parse_directives,
-    run_paths,
-)
+from tools.lintcore import Finding, LintContext
+from tools.reprolint.core import lint_source, main, parse_directives, run_paths
 from tools.reprolint.rules import ALL_RULES
 
 __all__ = [

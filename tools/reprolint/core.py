@@ -1,18 +1,8 @@
-"""reprolint core: findings, suppression directives, file runner.
+"""reprolint: the concurrency/durability rules bound to the shared runner.
 
-The analyzer encodes this repository's concurrency and durability
-invariants as named rules (``RL01``–``RL06``, see
-:mod:`tools.reprolint.rules`) over the stdlib ``ast``. Each rule is
-individually suppressible at the offending line with an inline
-directive, and two invariant-specific annotations mark code that is
-*allowed* to break the lexical pattern because a caller (or the design)
-upholds the invariant another way:
-
-``# reprolint: disable=RL03 -- <justification>``
-    Suppress one or more comma-separated rules on this line (or, for a
-    comment-only line, on the next code line). The justification is
-    mandatory in spirit — the linter records whatever follows the rule
-    list — and reviewed like code.
+Besides ``disable=`` (see :mod:`tools.lintcore`), two annotations mark
+code that is *allowed* to break a rule's lexical pattern because a
+caller (or the design) upholds the invariant another way:
 
 ``# reprolint: holds-write-lock [justification]``
     On (or directly above) a ``def``: every caller of this method holds
@@ -23,245 +13,37 @@ upholds the invariant another way:
     On an ``except Exception`` line: this broad handler is the
     process's deliberate final backstop (RL05).
 
-Run ``python -m tools.reprolint src/`` (exit 0 = clean); see
-``docs/static-analysis.md`` for the rule catalogue.
+Run ``python -m tools.reprolint src/`` (exit 0 = clean).
 """
 
 from __future__ import annotations
 
-import argparse
-import ast
-import io
-import tokenize
-from dataclasses import dataclass, field
-from pathlib import Path
+from tools.lintcore import Directives as _Directives
+from tools.lintcore import Linter
+from tools.reprolint.rules import ALL_RULES
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One rule violation at a source location."""
-
-    rule: str
-    path: str
-    line: int
-    message: str
-    suppressed: bool = False
-    justification: str = ""
-
-    def render(self) -> str:
-        tail = ""
-        if self.suppressed:
-            why = self.justification or "no justification given"
-            tail = f"  [suppressed: {why}]"
-        return f"{self.path}:{self.line}: {self.rule} {self.message}{tail}"
-
-
-@dataclass
-class Directives:
-    """Per-file ``# reprolint:`` directives, keyed by source line."""
-
-    #: line -> set of rule ids disabled there ("*" disables all)
-    disabled: dict[int, set[str]] = field(default_factory=dict)
-    #: line -> justification text for the disable
-    disable_reason: dict[int, str] = field(default_factory=dict)
-    #: lines carrying ``holds-write-lock``
-    holds_write_lock: set[int] = field(default_factory=set)
-    #: lines carrying ``last-resort``
-    last_resort: set[int] = field(default_factory=set)
-
-    def is_disabled(self, rule: str, line: int) -> bool:
-        rules = self.disabled.get(line)
-        return rules is not None and (rule in rules or "*" in rules)
-
-    def reason(self, line: int) -> str:
-        return self.disable_reason.get(line, "")
+class Directives(_Directives):
+    MARKERS = ("holds-write-lock", "last-resort")
 
     def marks_write_lock_holder(self, def_line: int) -> bool:
-        """``holds-write-lock`` on the ``def`` line or the line above."""
-        return bool(self.holds_write_lock & {def_line, def_line - 1})
+        return self.marked("holds-write-lock", def_line)
 
     def marks_last_resort(self, line: int) -> bool:
-        return line in self.last_resort or (line - 1) in self.last_resort
+        return self.marked("last-resort", line)
 
 
-_DIRECTIVE_PREFIX = "reprolint:"
-
-
-def parse_directives(source: str) -> Directives:
-    """Extract every ``# reprolint:`` directive with its effective line.
-
-    Comments are found with :mod:`tokenize` (never fooled by ``#`` inside
-    string literals). A directive on a code line applies to that line; a
-    directive on a comment-only line applies to the next code line too,
-    so long statements can carry their suppression just above.
-    """
-    directives = Directives()
-    pending: list[tuple[str, str]] = []  # directives awaiting a code line
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, SyntaxError, IndentationError):
-        return directives
-    code_lines: set[int] = set()
-    comments: list[tuple[int, str]] = []
-    for tok in tokens:
-        if tok.type == tokenize.COMMENT:
-            comments.append((tok.start[0], tok.string))
-        elif tok.type not in (
-            tokenize.NL,
-            tokenize.NEWLINE,
-            tokenize.INDENT,
-            tokenize.DEDENT,
-            tokenize.ENDMARKER,
-        ):
-            for line in range(tok.start[0], tok.end[0] + 1):
-                code_lines.add(line)
-
-    def apply(line: int, body: str) -> None:
-        body = body.strip()
-        if body.startswith("disable="):
-            spec = body[len("disable="):]
-            head, _, reason = spec.partition("--")
-            rules = {r.strip().upper() for r in head.split(",") if r.strip()}
-            if not rules:
-                rules = {"*"}
-            directives.disabled.setdefault(line, set()).update(rules)
-            if reason.strip():
-                directives.disable_reason[line] = reason.strip()
-        elif body.startswith("holds-write-lock"):
-            directives.holds_write_lock.add(line)
-        elif body.startswith("last-resort"):
-            directives.last_resort.add(line)
-
-    for line, text in comments:
-        text = text.lstrip("#").strip()
-        if not text.startswith(_DIRECTIVE_PREFIX):
-            continue
-        body = text[len(_DIRECTIVE_PREFIX):]
-        apply(line, body)
-        if line not in code_lines:
-            # Comment-only line: also bind to the next code line.
-            following = [code for code in code_lines if code > line]
-            if following:
-                apply(min(following), body)
-    return directives
-
-
-@dataclass
-class LintContext:
-    """Everything one rule needs to check one file."""
-
-    path: str
-    source: str
-    tree: ast.Module
-    directives: Directives
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    select: set[str] | None = None,
-) -> list[Finding]:
-    """Run every (selected) rule over ``source``; suppressed findings are
-    returned too, marked, so callers (and tests) can see both sides."""
-    from tools.reprolint.rules import ALL_RULES
-
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                rule="RL00",
-                path=path,
-                line=exc.lineno or 1,
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    ctx = LintContext(
-        path=path,
-        source=source,
-        tree=tree,
-        directives=parse_directives(source),
-    )
-    findings: list[Finding] = []
-    for rule in ALL_RULES:
-        if select and rule.id not in select:
-            continue
-        for finding in rule.check(ctx):
-            if ctx.directives.is_disabled(finding.rule, finding.line):
-                finding = Finding(
-                    rule=finding.rule,
-                    path=finding.path,
-                    line=finding.line,
-                    message=finding.message,
-                    suppressed=True,
-                    justification=ctx.directives.reason(finding.line),
-                )
-            findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return findings
-
-
-def iter_python_files(paths: list[str]) -> list[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
-    files: list[Path] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        elif path.suffix == ".py":
-            files.append(path)
-    return files
-
-
-def run_paths(
-    paths: list[str], select: set[str] | None = None
-) -> list[Finding]:
-    """Lint every python file under ``paths`` (suppressed included)."""
-    findings: list[Finding] = []
-    for file in iter_python_files(paths):
-        source = file.read_text(encoding="utf-8")
-        findings.extend(lint_source(source, path=str(file), select=select))
-    return findings
-
-
-def main(argv: list[str] | None = None) -> int:
-    from tools.reprolint.rules import ALL_RULES
-
-    parser = argparse.ArgumentParser(
-        prog="reprolint",
-        description=(
-            "Static analyzer for this repo's concurrency and durability "
-            "invariants (rules RL01-RL06)."
-        ),
-    )
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
-    parser.add_argument("--select", default=None,
-                        help="comma-separated rule ids to run (e.g. RL01,RL05)")
-    parser.add_argument("--show-suppressed", action="store_true",
-                        help="also print findings silenced by directives")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in ALL_RULES:
-            print(f"{rule.id}  {rule.description}")
-        return 0
-
-    select = (
-        {r.strip().upper() for r in args.select.split(",") if r.strip()}
-        if args.select else None
-    )
-    findings = run_paths(args.paths or ["src"], select=select)
-    active = [f for f in findings if not f.suppressed]
-    shown = findings if args.show_suppressed else active
-    for finding in shown:
-        print(finding.render())
-    n_files = len(iter_python_files(args.paths or ["src"]))
-    suppressed = len(findings) - len(active)
-    print(
-        f"reprolint: {n_files} files, {len(active)} finding(s), "
-        f"{suppressed} suppressed"
-    )
-    return 1 if active else 0
+_LINTER = Linter(
+    name="reprolint",
+    prefix="RL",
+    description=(
+        "Static analyzer for this repo's concurrency and durability "
+        "invariants (rules RL01-RL06)."
+    ),
+    directives=Directives,
+    rules=ALL_RULES,
+)
+parse_directives = _LINTER.parse_directives
+lint_source = _LINTER.lint_source
+run_paths = _LINTER.run_paths
+main = _LINTER.main

@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from tools.reprolint.core import Finding, LintContext
+from tools.lintcore import Finding, LintContext
 
 #: Methods that may mutate guarded state without a visible lock: either
 #: the object cannot be shared yet (construction / unpickling) or the
