@@ -41,12 +41,10 @@ class FilteringStage:
         client: VectorDBClient,
         collection_name: str,
         embedder: EmbeddingModel,
-        ef: int | None = None,
     ) -> None:
         self._client = client
         self._collection = collection_name
         self._embedder = embedder
-        self._ef = ef
 
     def run(
         self, query: SpatialKeywordQuery, k: int = DEFAULT_CANDIDATES
@@ -84,8 +82,7 @@ class FilteringStage:
         for box, positions in groups.items():
             geo_filter = GeoBoundingBoxFilter("location", box)
             hit_lists = self._client.search_batch(
-                self._collection, vectors[positions], k,
-                flt=geo_filter, ef=self._ef,
+                self._collection, vectors[positions], k, flt=geo_filter
             )
             for position, hits in zip(positions, hit_lists):
                 results[position] = _to_candidates(hits)

@@ -41,7 +41,6 @@ class SemaSKConfig:
 
     refine_model: str | None = "gpt-4o"
     candidate_k: int = DEFAULT_CANDIDATES
-    ef: int | None = None  # HNSW beam width override for filtering
 
     def variant_name(self) -> str:
         """The paper's name for this configuration."""
@@ -72,7 +71,6 @@ class SemaSK:
             prepared.client,
             prepared.collection_name,
             prepared.embedder,
-            ef=self._config.ef,
         )
         self._refinement = (
             RefinementStage(self._llm, self._config.refine_model)

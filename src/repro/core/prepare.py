@@ -31,7 +31,6 @@ from repro.llm.prompts import build_summarize_prompt
 from repro.llm.simulated import SimulatedLLM
 from repro.vectordb.client import VectorDBClient
 from repro.vectordb.collection import PointStruct
-from repro.vectordb.sharded import ShardedCollection
 
 #: Model used for summarization, per the paper ("for its lower costs").
 SUMMARIZE_MODEL = "gpt-3.5-turbo"
@@ -59,7 +58,6 @@ class DataPreparation:
         summarize: bool = True,
         shards: int = 1,
         eager_index: bool = True,
-        index_workers: int | None = None,
     ) -> None:
         self._llm = llm if llm is not None else SimulatedLLM()
         self._embedder = (
@@ -70,7 +68,6 @@ class DataPreparation:
         self._summarize = summarize
         self._shards = shards
         self._eager_index = eager_index
-        self._index_workers = index_workers
 
     @property
     def llm(self) -> LLMClient:
@@ -141,10 +138,7 @@ class DataPreparation:
             # Pay for graph construction here, not on the first query;
             # sharded collections build their per-shard graphs in
             # parallel worker processes.
-            if isinstance(collection, ShardedCollection):
-                collection.build_hnsw(parallel=self._index_workers)
-            else:
-                collection.build_hnsw()
+            collection.build_hnsw()
 
     def prepare(self, dataset: Dataset, collection_name: str | None = None) -> PreparedCity:
         """Run all three steps; returns a handle for query processing."""

@@ -11,7 +11,7 @@ benchmark compares the latency profiles.
 
 from __future__ import annotations
 
-from repro.core.filtering import Candidate
+from repro.core.filtering import Candidate, _to_candidates
 from repro.core.prepare import PreparedCity
 from repro.core.query import SpatialKeywordQuery
 from repro.spatial.rtree import RTree
@@ -49,12 +49,4 @@ class RTreeFilteringStage:
             k,
             flt=FieldIn("business_id", in_range),
         )
-        return [
-            Candidate(
-                business_id=hit.id,
-                name=str(hit.payload.get("name", hit.id)),
-                score=hit.score,
-                payload=hit.payload,
-            )
-            for hit in hits
-        ]
+        return _to_candidates(hits)

@@ -18,8 +18,8 @@ Three classes:
   ``run_batch(key, items, deadline)``.
 * :class:`SearchCoalescer` — vector searches over a
   :class:`~repro.vectordb.client.VectorDBClient`; groups by
-  (collection, k, filter, exact, ef, rescore_factor) and executes
-  ``client.search_batch``.
+  (collection, :class:`~repro.vectordb.collection.SearchParams`) and
+  executes ``client.search_batch``.
 * :class:`QueryCoalescer` — full SemaSK pipeline queries; executes
   :meth:`~repro.core.pipeline.SemaSK.query_many` (which itself groups by
   spatial range and fans refinement out over threads).
@@ -55,9 +55,8 @@ from repro.core.results import QueryResult
 from repro.errors import DeadlineExceeded, DimensionMismatch, ServerOverloaded
 from repro.testing import chaos
 from repro.vectordb.client import VectorDBClient
-from repro.vectordb.collection import SearchHit
+from repro.vectordb.collection import SearchHit, SearchParams
 from repro.vectordb.deadline import Deadline
-from repro.vectordb.filters import Filter
 
 
 @dataclass
@@ -180,13 +179,13 @@ class MicroBatcher:
         self._max_pending = max_pending
         self._name = name
         self._lock = threading.Condition()
-        # key -> (first-enqueue monotonic time,
-        #         [(item, future, deadline), ...]);
-        # insertion order doubles as arrival order of the groups.
-        self._groups: dict[
-            Hashable, tuple[float, list[tuple[Any, Future, Deadline | None]]]
-        ]
-        self._groups = {}
+        # group -> (first-enqueue monotonic time, the caller's key,
+        #           [(item, future, deadline), ...]); the group is the
+        # key, or a placeholder for an unhashable one. Insertion order
+        # doubles as arrival order of the groups.
+        self._groups: dict[Hashable, tuple[
+            float, Hashable, list[tuple[Any, Future, Deadline | None]]
+        ]] = {}
         self._queued = 0  # items awaiting dispatch, across all groups
         self._thread: threading.Thread | None = None
         self._closed = False
@@ -211,7 +210,8 @@ class MicroBatcher:
         """Enqueue ``item`` under ``key``; resolve via the returned future.
 
         Unhashable keys get a private group (no coalescing, still
-        batched machinery). Raises ``RuntimeError`` after :meth:`close`,
+        batched machinery; ``run_batch`` receives the key as given).
+        Raises ``RuntimeError`` after :meth:`close`,
         :class:`~repro.errors.ServerOverloaded` when ``max_pending``
         items are already queued, and
         :class:`~repro.errors.DeadlineExceeded` when ``deadline`` is
@@ -219,10 +219,11 @@ class MicroBatcher:
         """
         if deadline is not None:
             deadline.check("enqueue")
+        group = key
         try:
             hash(key)
         except TypeError:
-            key = object()  # unique: a group of its own
+            group = object()  # unique: a group of its own
         future: Future = Future()
         with self._lock:
             if self._closed:
@@ -243,13 +244,13 @@ class MicroBatcher:
                     daemon=True,
                 )
                 self._thread.start()
-            entry = self._groups.get(key)
+            entry = self._groups.get(group)
             if entry is None:
-                self._groups[key] = (
-                    time.monotonic(), [(item, future, deadline)]
+                self._groups[group] = (
+                    time.monotonic(), key, [(item, future, deadline)]
                 )
             else:
-                entry[1].append((item, future, deadline))
+                entry[2].append((item, future, deadline))
             self._queued += 1
             self.stats.requests += 1
             self._lock.notify_all()
@@ -303,7 +304,7 @@ class MicroBatcher:
         (shutdown flushes everything). Returns ``(key, entries)`` or
         ``None``. Called under the lock.
         """
-        for key, (first_ts, entries) in self._groups.items():
+        for group, (first_ts, key, entries) in self._groups.items():
             if (
                 drain
                 or len(entries) >= self._max_batch
@@ -312,11 +313,11 @@ class MicroBatcher:
                 break
         else:  # no group is ready (note: the key itself may be None)
             return None
-        first_ts, entries = self._groups.pop(key)
+        del self._groups[group]
         batch, rest = entries[: self._max_batch], entries[self._max_batch:]
         if rest:
             # Leftovers start a fresh deadline: they are a new batch.
-            self._groups[key] = (now, rest)
+            self._groups[group] = (now, key, rest)
         self._queued -= len(batch)
         return key, batch
 
@@ -324,7 +325,7 @@ class MicroBatcher:
         """Seconds until the oldest group must flush (None = no groups)."""
         if not self._groups:
             return None
-        oldest = min(first_ts for first_ts, _ in self._groups.values())
+        oldest = min(first_ts for first_ts, _, _ in self._groups.values())
         return max(0.0, oldest + self._max_wait_s - now)
 
     def _dispatch_loop(self) -> None:
@@ -422,32 +423,22 @@ class MicroBatcher:
             future.set_result(result)
 
 
-@dataclass(frozen=True)
-class _SearchKey:
-    """Everything two searches must share to ride one batched call."""
-
-    collection: str
-    k: int
-    flt: Filter | None
-    exact: bool
-    ef: int | None
-    rescore_factor: float | None
-
-
 class SearchCoalescer:
     """Coalesces single vector searches into ``search_batch`` calls.
 
     Concurrent callers use :meth:`search` exactly like
-    :meth:`VectorDBClient.search`; requests agreeing on (collection, k,
-    filter, exact, ef, rescore_factor) are stacked into one matrix and
-    answered by one
+    :meth:`VectorDBClient.search`; requests with equal
+    :class:`~repro.vectordb.collection.SearchParams` on the same
+    collection are stacked into one matrix and answered by one
     :meth:`~repro.vectordb.client.VectorDBClient.search_batch` call —
     sharing the filter's candidate-set evaluation and the matrix–matrix
-    scoring kernel across clients that never heard of each other.
+    scoring kernel across clients that never heard of each other. A
+    search whose filter is unhashable (a list- or dict-valued leaf)
+    rides alone.
 
     Request validation happens *before* enqueueing (unknown collection,
-    wrong dimensionality), so malformed requests fail fast in the
-    caller's thread and never reach a batch.
+    out-of-range params, wrong dimensionality), so malformed requests
+    fail fast in the caller's thread and never reach a batch.
     """
 
     def __init__(
@@ -475,60 +466,48 @@ class SearchCoalescer:
 
     def _run(
         self,
-        key: _SearchKey,
+        key: tuple[str, SearchParams],
         vectors: list[np.ndarray],
         deadline: Deadline | None,
     ) -> list[list[SearchHit]]:
+        collection, params = key
         return self._client.search_batch(
-            key.collection, np.stack(vectors), key.k,
-            flt=key.flt, exact=key.exact, ef=key.ef, deadline=deadline,
-            rescore_factor=key.rescore_factor,
+            collection, np.stack(vectors), params, deadline
         )
 
     def submit(
         self,
         collection: str,
         vector: np.ndarray | Sequence[float],
-        k: int,
-        flt: Filter | None = None,
-        exact: bool = False,
-        ef: int | None = None,
+        k: int | SearchParams,
         deadline: Deadline | None = None,
-        rescore_factor: float | None = None,
+        **knobs: Any,
     ) -> Future:
         """Enqueue one search; the future resolves to its hit list.
 
         Raises immediately (not via the future) for an unknown
-        collection, a negative ``k``, a query of the wrong
+        collection, invalid ``SearchParams``, a query of the wrong
         dimensionality — the pre-batch validation that keeps bad
         requests out of shared batches — an already-spent ``deadline``,
         or a full queue (:class:`~repro.errors.ServerOverloaded`).
         """
         target = self._client.get_collection(collection)
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
+        params = SearchParams.of(k, knobs)
         query = np.asarray(vector, dtype=np.float32)
         if query.shape != (target.dim,):
             raise DimensionMismatch(
                 f"query shape {query.shape} != ({target.dim},)"
             )
-        key = _SearchKey(
-            collection=collection, k=k, flt=flt, exact=exact, ef=ef,
-            rescore_factor=rescore_factor,
-        )
-        return self._batcher.submit(key, query, deadline=deadline)
+        return self._batcher.submit((collection, params), query, deadline)
 
     def search(
         self,
         collection: str,
         vector: np.ndarray | Sequence[float],
-        k: int,
-        flt: Filter | None = None,
-        exact: bool = False,
-        ef: int | None = None,
+        k: int | SearchParams,
         timeout: float | None = 30.0,
         deadline: Deadline | None = None,
-        rescore_factor: float | None = None,
+        **knobs: Any,
     ) -> list[SearchHit]:
         """Blocking :meth:`submit`: returns the hits (or re-raises).
 
@@ -537,10 +516,7 @@ class SearchCoalescer:
         :class:`~repro.errors.DeadlineExceeded` (the request's worker is
         released; the batch it rode in finishes in the background).
         """
-        future = self.submit(
-            collection, vector, k, flt=flt, exact=exact, ef=ef,
-            deadline=deadline, rescore_factor=rescore_factor,
-        )
+        future = self.submit(collection, vector, k, deadline, **knobs)
         return _await_future(future, timeout, deadline)
 
     def close(self) -> None:

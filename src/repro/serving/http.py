@@ -79,7 +79,6 @@ from repro.core.results import QueryResult
 from repro.errors import (
     CollectionNotFound,
     DeadlineExceeded,
-    DimensionMismatch,
     ReproError,
     ServerOverloaded,
 )
@@ -89,7 +88,7 @@ from repro.serving.batcher import QueryCoalescer, SearchCoalescer
 from repro.serving.metrics import ServingMetrics
 from repro.testing import chaos
 from repro.vectordb.client import VectorDBClient
-from repro.vectordb.collection import PointStruct, SearchHit
+from repro.vectordb.collection import PointStruct, SearchHit, SearchParams
 from repro.vectordb.deadline import Deadline
 from repro.vectordb.filters import (
     And,
@@ -165,16 +164,38 @@ def filter_from_json(spec: Any) -> Filter | None:
                 float(body["radius_km"]),
             )
         if node == "must":
-            return And(*(filter_from_json(child) for child in body))
+            return And(*map(_nested_filter, body))
         if node == "should":
-            return Or(*(filter_from_json(child) for child in body))
+            return Or(*map(_nested_filter, body))
         if node == "must_not":
-            return Not(filter_from_json(body))
+            return Not(_nested_filter(body))
     except BadRequest:
         raise
     except (KeyError, TypeError, ValueError, ReproError) as exc:
         raise BadRequest(f"bad {node!r} filter: {exc}") from exc
     raise BadRequest(f"unknown filter node {node!r}")
+
+
+def _nested_filter(spec: Any) -> Filter:
+    """A child of ``must`` / ``should`` / ``must_not``: never null."""
+    if spec is None:
+        raise BadRequest("a nested filter may not be null")
+    return filter_from_json(spec)
+
+
+def _vector_from_json(raw: Any) -> np.ndarray:
+    """A request's vector as float32, or :class:`BadRequest`: a NaN, an
+    Infinity or an overflowing magnitude would be stored by ``/upsert``
+    and come back from ``/search`` as a score JSON cannot carry."""
+    try:
+        with np.errstate(over="ignore"):
+            vector = np.asarray(raw, dtype=np.float32)
+            norm_sq = np.square(vector).sum()
+    except (TypeError, ValueError) as exc:
+        raise BadRequest(f"bad vector: {exc}") from exc
+    if not np.isfinite(norm_sq):
+        raise BadRequest("bad vector: its float32 norm must be finite")
+    return vector
 
 
 def _hit_to_json(hit: SearchHit, with_payload: bool = True) -> dict:
@@ -258,34 +279,26 @@ class ServingContext:
         self,
         collection: str,
         vector: Any,
-        k: int,
-        flt: Filter | None = None,
-        exact: bool = False,
-        ef: int | None = None,
+        k: int | SearchParams,
         coalesce: bool = True,
         deadline: Deadline | None = None,
-        rescore_factor: float | None = None,
+        **knobs: Any,
     ) -> list[SearchHit]:
         """One kNN search, coalesced with concurrent callers by default.
 
         ``deadline`` is the request's remaining budget: an expired one
         raises :class:`~repro.errors.DeadlineExceeded` before any engine
         work is dispatched, and a live one rides along to the engine's
-        choke points (and caps the coalesced wait). ``rescore_factor``
-        tunes the quantized tier's exact-rescore candidate pool
-        (ignored for float32-only collections).
+        choke points (and caps the coalesced wait). ``k`` / ``knobs``:
+        :class:`~repro.vectordb.collection.SearchParams`.
         """
         if deadline is not None:
             deadline.check("search dispatch")
         if self._search_coalescer is not None and coalesce:
             return self._search_coalescer.search(
-                collection, vector, k, flt=flt, exact=exact, ef=ef,
-                deadline=deadline, rescore_factor=rescore_factor,
+                collection, vector, k, deadline=deadline, **knobs
             )
-        return self._client.search(
-            collection, vector, k, flt=flt, exact=exact, ef=ef,
-            deadline=deadline, rescore_factor=rescore_factor,
-        )
+        return self._client.search(collection, vector, k, deadline, **knobs)
 
     def query(
         self,
@@ -356,10 +369,7 @@ class ServingContext:
             payload = row.get("payload") or {}
             if not isinstance(payload, dict):
                 raise BadRequest("point 'payload' must be an object")
-            try:
-                vector = np.asarray(row["vector"], dtype=np.float32)
-            except (TypeError, ValueError) as exc:
-                raise BadRequest(f"bad vector: {exc}") from exc
+            vector = _vector_from_json(row["vector"])
             structs.append(
                 PointStruct(id=str(row["id"]), vector=vector, payload=payload)
             )
@@ -685,7 +695,9 @@ class _Handler(_JsonHandler):
                 status, body = 429, {"error": str(exc)}
             except HttpError as exc:
                 status, body = exc.status, {"error": str(exc)}
-            except (DimensionMismatch, ValueError, KeyError, TypeError) as exc:
+            except (  # OverflowError: int() of a JSON Infinity
+                ValueError, KeyError, TypeError, OverflowError
+            ) as exc:
                 status, body = 400, {"error": str(exc)}
             except CollectionNotFound as exc:
                 status, body = 404, {"error": str(exc)}
@@ -747,23 +759,22 @@ class _Handler(_JsonHandler):
         for required in ("collection", "vector", "k"):
             if required not in body:
                 raise BadRequest(f"missing field {required!r}")
-        try:
-            vector = np.asarray(body["vector"], dtype=np.float32)
-        except (TypeError, ValueError) as exc:
-            raise BadRequest(f"bad vector: {exc}") from exc
-        hits = self.context.search(
-            str(body["collection"]),
-            vector,
+        params = SearchParams(
             int(body["k"]),
             flt=filter_from_json(body.get("filter")),
             exact=bool(body.get("exact", False)),
             ef=int(body["ef"]) if body.get("ef") is not None else None,
-            coalesce=bool(body.get("coalesce", True)),
-            deadline=self._request_deadline(),
             rescore_factor=(
                 float(body["rescore_factor"])
                 if body.get("rescore_factor") is not None else None
             ),
+        )
+        hits = self.context.search(
+            str(body["collection"]),
+            _vector_from_json(body["vector"]),
+            params,
+            coalesce=bool(body.get("coalesce", True)),
+            deadline=self._request_deadline(),
         )
         # with_payload=false trims the response to ids + scores — POI
         # payloads carry full tip texts, which dominate the wire size.

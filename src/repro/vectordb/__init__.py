@@ -37,6 +37,7 @@ from repro.vectordb.collection import (
     HnswConfig,
     PointStruct,
     SearchHit,
+    SearchParams,
 )
 from repro.vectordb.deadline import Deadline
 from repro.vectordb.distance import Metric, normalize_rows, similarity
@@ -83,6 +84,7 @@ __all__ = [
     "Or",
     "PointStruct",
     "SearchHit",
+    "SearchParams",
     "ShardedCollection",
     "VectorDBClient",
     "WriteAheadLog",

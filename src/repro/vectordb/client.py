@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from repro.vectordb.collection import (
     HnswConfig,
     PointStruct,
     SearchHit,
+    SearchParams,
 )
 from repro.vectordb.contracts import array_contract
 from repro.vectordb.deadline import Deadline
@@ -279,35 +281,25 @@ class VectorDBClient:
         self,
         name: str,
         vector: np.ndarray | Sequence[float],
-        k: int,
-        flt: Filter | None = None,
-        exact: bool = False,
-        ef: int | None = None,
+        k: int | SearchParams,
         deadline: Deadline | None = None,
-        rescore_factor: float | None = None,
+        **knobs: Any,
     ) -> list[SearchHit]:
         """Search the named collection (see :meth:`Collection.search`)."""
-        return self.get_collection(name).search(
-            vector, k, flt=flt, exact=exact, ef=ef, deadline=deadline,
-            rescore_factor=rescore_factor,
-        )
+        return self.get_collection(name).search(vector, k, deadline, **knobs)
 
     @array_contract(vectors="q,d:float32")
     def search_batch(
         self,
         name: str,
         vectors: np.ndarray | Sequence[Sequence[float]],
-        k: int,
-        flt: Filter | None = None,
-        exact: bool = False,
-        ef: int | None = None,
+        k: int | SearchParams,
         deadline: Deadline | None = None,
-        rescore_factor: float | None = None,
+        **knobs: Any,
     ) -> list[list[SearchHit]]:
         """Batched search (see :meth:`Collection.search_batch`)."""
         return self.get_collection(name).search_batch(
-            vectors, k, flt=flt, exact=exact, ef=ef, deadline=deadline,
-            rescore_factor=rescore_factor,
+            vectors, k, deadline, **knobs
         )
 
     def count(self, name: str, flt: Filter | None = None) -> int:

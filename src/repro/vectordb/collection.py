@@ -100,6 +100,62 @@ class HnswConfig:
 
 
 @dataclass(frozen=True)
+class SearchParams:
+    """What one vector search asks for, besides its query vectors.
+
+    The value that travels socket → coalescer → client → shard fan-out
+    → shard worker. Every ``search`` / ``search_batch`` above the index
+    kernels takes it as ``k`` plus keywords, or ready-made (:meth:`of`).
+
+    * ``k`` — hits wanted; ``0`` returns none, more than the (matching)
+      population truncates to it.
+    * ``flt`` — payload filter; at most ``BRUTE_FORCE_THRESHOLD``
+      matches are scored exactly, broader (or no) filters use the graph.
+    * ``exact`` — force brute-force scoring (how recall is measured).
+    * ``ef`` — HNSW beam width (default ``HnswConfig.ef_search``).
+    * ``rescore_factor`` — ``quantize="sq8"`` collections traverse
+      uint8 codes and rescore the top ``rescore_factor·k`` against
+      float32 (default ``DEFAULT_RESCORE_FACTOR``); ignored otherwise.
+
+    Out-of-range fields raise ``ValueError`` here and nowhere else.
+    Equal params on one collection may share a batched call, so the
+    value hashes whenever ``flt`` does; it pickles for the worker pipe.
+    A ``deadline`` is not a field: it is one caller's, not part of what
+    makes two searches the same search.
+    """
+
+    k: int
+    flt: Filter | None = None
+    exact: bool = False
+    ef: int | None = None
+    rescore_factor: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.k < 0:
+            raise ValueError(f"k must be non-negative, got {self.k}")
+        if self.ef is not None and self.ef < 1:
+            raise ValueError(f"ef must be >= 1, got {self.ef}")
+        if self.rescore_factor is not None and not self.rescore_factor >= 1.0:
+            raise ValueError(
+                f"rescore_factor must be >= 1.0, got {self.rescore_factor}"
+            )
+
+    @classmethod
+    def of(cls, k: int | SearchParams, knobs: dict[str, Any]) -> SearchParams:
+        """The value behind ``search(vector, k, **knobs)``: ``k`` is the
+        hit count, or a ``SearchParams`` to use as-is (``knobs`` empty).
+        Unknown or conflicting keywords are a ``TypeError``."""
+        if not isinstance(k, cls):
+            return cls(k, **knobs)
+        if knobs:
+            raise TypeError(
+                f"search got SearchParams and keywords {sorted(knobs)}; "
+                "set them on the SearchParams"
+            )
+        return k
+
+
+@dataclass(frozen=True)
 class SnapshotView:
     """A consistent capture of one collection for snapshot serialization.
 
@@ -564,9 +620,7 @@ class Collection:
     def _sq8_graph_search(
         self,
         query: np.ndarray,
-        k: int,
-        ef: int | None,
-        rescore_factor: float | None,
+        params: SearchParams,
         matching: np.ndarray | None = None,
         match_set: set[int] | None = None,
     ) -> list[tuple[int, float]]:
@@ -582,15 +636,8 @@ class Collection:
         which is what makes ``rescore_factor=len(collection)``
         bit-identical to ``exact=True`` by construction.
         """
-        factor = (
-            DEFAULT_RESCORE_FACTOR
-            if rescore_factor is None
-            else float(rescore_factor)
-        )
-        if not factor >= 1.0:
-            raise ValueError(
-                f"rescore_factor must be >= 1.0, got {rescore_factor}"
-            )
+        k = params.k
+        factor = params.rescore_factor or DEFAULT_RESCORE_FACTOR
         m_cand = max(k, int(math.ceil(factor * k)))
         population = (
             int(matching.size) if matching is not None else len(self._ids)
@@ -605,7 +652,7 @@ class Collection:
             (lambda n: n in match_set) if match_set is not None else None
         )
         found = view.search(
-            w, m_cand, ef=ef or self._hnsw_config.ef_search,
+            w, m_cand, ef=params.ef or self._hnsw_config.ef_search,
             predicate=predicate,
         )
         if not found:
@@ -619,26 +666,14 @@ class Collection:
     def search(
         self,
         vector: np.ndarray | Sequence[float],
-        k: int,
-        flt: Filter | None = None,
-        exact: bool = False,
-        ef: int | None = None,
+        k: int | SearchParams,
         deadline: Deadline | None = None,
-        rescore_factor: float | None = None,
+        **knobs: Any,
     ) -> list[SearchHit]:
         """Top-``k`` most similar points, optionally filtered.
 
-        ``exact=True`` forces brute-force scoring (used to measure HNSW
-        recall). Otherwise, selective filters use exact scoring over the
-        matching subset and broad/absent filters use the HNSW graph —
-        traversed over the quantized tier when the collection was
-        created with ``quantize="sq8"``, with the top
-        ``rescore_factor·k`` candidates rescored exactly against the
-        float32 matrix (default ``DEFAULT_RESCORE_FACTOR``; ignored for
-        unquantized collections).
-
-        ``k = 0`` returns no hits and ``k`` beyond the population
-        truncates to every (matching) point; negative ``k`` raises.
+        ``k`` and ``knobs`` are the fields of :class:`SearchParams`
+        (or pass one as ``k``), which documents and validates them.
 
         An expired ``deadline`` raises
         :class:`~repro.errors.DeadlineExceeded` at entry and again
@@ -654,21 +689,15 @@ class Collection:
             raise DimensionMismatch(
                 f"query shape {query.shape} != ({self.dim},)"
             )
-        return self.search_batch(
-            query[None], k, flt=flt, exact=exact, ef=ef, deadline=deadline,
-            rescore_factor=rescore_factor,
-        )[0]
+        return self.search_batch(query[None], k, deadline, **knobs)[0]
 
     @array_contract(vectors="q,d:float32")
     def search_batch(
         self,
         vectors: np.ndarray | Sequence[Sequence[float]],
-        k: int,
-        flt: Filter | None = None,
-        exact: bool = False,
-        ef: int | None = None,
+        k: int | SearchParams,
         deadline: Deadline | None = None,
-        rescore_factor: float | None = None,
+        **knobs: Any,
     ) -> list[list[SearchHit]]:
         """Top-``k`` hits for each query row, against one shared filter.
 
@@ -678,13 +707,12 @@ class Collection:
         dispatches to the flat index's matrix–matrix path, and the HNSW
         path reuses the graph's vectorized traversal per query. Returns
         one hit list per query; a query's hits do not depend on what
-        else rides in the batch. Options, the ``k = 0`` / oversized-``k``
-        edge behaviour and the two ``deadline`` choke points (entry, and
-        between filter evaluation and scoring) are documented on
+        else rides in the batch. ``k`` / ``knobs`` resolve to one
+        :class:`SearchParams`; the two ``deadline`` choke points (entry,
+        and between filter evaluation and scoring) are documented on
         :meth:`search`.
         """
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
+        params = SearchParams.of(k, knobs)
         if deadline is not None:
             deadline.check("search_batch")
         queries = np.asarray(vectors, dtype=np.float32)
@@ -695,9 +723,11 @@ class Collection:
         n_queries = queries.shape[0]
         if n_queries == 0:
             return []
+        k, flt, exact = params.k, params.flt, params.exact
         if k == 0 or len(self._ids) == 0:
             return [[] for _ in range(n_queries)]
         quantized = self._sq8 is not None and not exact
+        ef = params.ef or self._hnsw_config.ef_search
 
         if flt is not None:
             matching = self._matching_nodes(flt)
@@ -711,8 +741,7 @@ class Collection:
                 match_set = set(matching.tolist())
                 raw_lists = [
                     self._sq8_graph_search(
-                        query, k, ef, rescore_factor,
-                        matching=matching, match_set=match_set,
+                        query, params, matching=matching, match_set=match_set
                     )
                     for query in queries
                 ]
@@ -720,20 +749,16 @@ class Collection:
                 match_set = set(matching.tolist())
                 index = self.build_hnsw()
                 raw_lists = index.search_batch(
-                    queries, k, ef=ef or self._hnsw_config.ef_search,
-                    predicate=lambda n: n in match_set,
+                    queries, k, ef=ef, predicate=lambda n: n in match_set
                 )
         elif exact:
             raw_lists = self._flat.search_batch(queries, k)
         elif quantized:
             raw_lists = [
-                self._sq8_graph_search(query, k, ef, rescore_factor)
-                for query in queries
+                self._sq8_graph_search(query, params) for query in queries
             ]
         else:
-            raw_lists = self.build_hnsw().search_batch(
-                queries, k, ef=ef or self._hnsw_config.ef_search
-            )
+            raw_lists = self.build_hnsw().search_batch(queries, k, ef=ef)
 
         return [
             [

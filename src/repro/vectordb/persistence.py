@@ -129,6 +129,13 @@ def _shard_dir(directory: Path, index: int) -> Path:
     return directory / f"shard-{index:02d}"
 
 
+def _shards_of(collection: AnyCollection) -> tuple[Collection, ...]:
+    """The per-shard collections (a plain collection is its own shard)."""
+    if isinstance(collection, ShardedCollection):
+        return collection.shard_collections
+    return (collection,)
+
+
 def _temp_siblings(directory: Path) -> list[Path]:
     """Sibling directories left behind by interrupted atomic rewrites."""
     parent, name = directory.parent, directory.name
@@ -303,18 +310,13 @@ def save_collection(
     directory = Path(directory)
     directory.parent.mkdir(parents=True, exist_ok=True)
     _sweep_stale_temps(directory)
-    if isinstance(collection, ShardedCollection):
-        with collection.write_lock:
-            views = [
-                shard.snapshot_view()
-                for shard in collection.shard_collections
-            ]
+    meta = None
+    with collection.write_lock:
+        views = [shard.snapshot_view() for shard in _shards_of(collection)]
+        if isinstance(collection, ShardedCollection):
             meta = _base_meta(collection)
             meta["shards"] = collection.n_shards
             meta["order"] = list(collection.point_order)
-    else:
-        views = [collection.snapshot_view()]
-        meta = None
     # Unique per invocation, so concurrent saves of the same path never
     # write into (or delete) each other's staging tree; last swap wins.
     staged = (
@@ -421,7 +423,6 @@ def attach_wal(
     collection: AnyCollection,
     directory: str | Path,
     fsync: str = "batch",
-    flush_interval_s: float = 0.005,
 ) -> Path:
     """Attach per-shard write-ahead logs for the snapshot at ``directory``.
 
@@ -435,18 +436,9 @@ def attach_wal(
     """
     directory = Path(directory)
     wal_dir = wal_directory(directory)
-    shards = (
-        collection.shard_collections
-        if isinstance(collection, ShardedCollection)
-        else (collection,)
-    )
-    for index, shard in enumerate(shards):
+    for index, shard in enumerate(_shards_of(collection)):
         shard.attach_wal(
-            WriteAheadLog(
-                shard_wal_path(wal_dir, index),
-                fsync=fsync,
-                flush_interval_s=flush_interval_s,
-            )
+            WriteAheadLog(shard_wal_path(wal_dir, index), fsync=fsync)
         )
     return wal_dir
 
@@ -564,12 +556,7 @@ def migrate_snapshot(
     collection = load_collection(snapshot_dir)
     try:
         if quantize == "sq8":
-            shards = (
-                collection.shard_collections
-                if isinstance(collection, ShardedCollection)
-                else (collection,)
-            )
-            for shard in shards:
+            for shard in _shards_of(collection):
                 if shard.quantize is None:
                     # snapshot_view syncs (fits + encodes) before saving.
                     shard.attach_sq8(SQ8Store(shard.dim))

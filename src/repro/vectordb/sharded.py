@@ -64,6 +64,7 @@ from repro.vectordb.collection import (
     HnswConfig,
     PointStruct,
     SearchHit,
+    SearchParams,
 )
 from repro.vectordb.deadline import Deadline
 from repro.vectordb.distance import Metric
@@ -588,23 +589,18 @@ class ShardedCollection:
     def search(
         self,
         vector: np.ndarray | Sequence[float],
-        k: int,
-        flt: Filter | None = None,
-        exact: bool = False,
-        ef: int | None = None,
+        k: int | SearchParams,
         deadline: Deadline | None = None,
-        rescore_factor: float | None = None,
+        **knobs: Any,
     ) -> list[SearchHit]:
         """Global top-``k``: per-shard top-``k`` fan-out, exact merge.
 
-        Edge behaviour matches :meth:`Collection.search`: ``k = 0``
-        returns no hits, oversized ``k`` truncates to the matching
-        population, negative ``k`` raises. An expired ``deadline``
-        raises :class:`~repro.errors.DeadlineExceeded` *before* the
-        fan-out is dispatched — no shard sees over-budget work — and is
-        forwarded to every shard for their own choke-point checks.
-        ``rescore_factor`` is forwarded to every shard's quantized
-        rescoring stage (ignored by shards serving float32-only).
+        Same call forms and edge behaviour as :meth:`Collection.search`
+        (``k`` / ``knobs`` are :class:`SearchParams`). An expired
+        ``deadline`` raises :class:`~repro.errors.DeadlineExceeded`
+        *before* the fan-out is dispatched — no shard sees over-budget
+        work — and is forwarded to every shard for their own
+        choke-point checks.
         A batch of one: ``search_batch(vector[None], ...)[0]``.
         """
         query = np.asarray(vector, dtype=np.float32)
@@ -612,30 +608,23 @@ class ShardedCollection:
             raise DimensionMismatch(
                 f"query shape {query.shape} != ({self.dim},)"
             )
-        return self.search_batch(
-            query[None], k, flt=flt, exact=exact, ef=ef, deadline=deadline,
-            rescore_factor=rescore_factor,
-        )[0]
+        return self.search_batch(query[None], k, deadline, **knobs)[0]
 
     @array_contract(vectors="q,d:float32")
     def search_batch(
         self,
         vectors: np.ndarray | Sequence[Sequence[float]],
-        k: int,
-        flt: Filter | None = None,
-        exact: bool = False,
-        ef: int | None = None,
+        k: int | SearchParams,
         deadline: Deadline | None = None,
-        rescore_factor: float | None = None,
+        **knobs: Any,
     ) -> list[list[SearchHit]]:
         """The fan-out read path: one dispatch, per-query exact merges.
 
-        ``deadline`` follows the :meth:`search` contract: checked before
-        the fan-out is dispatched, then forwarded to every shard, as is
-        ``rescore_factor`` for shards with a quantized tier.
+        Every shard receives the same :class:`SearchParams` value (over
+        the thread pool or the worker pipe) and the same ``deadline``,
+        which follows the :meth:`search` contract.
         """
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
+        params = SearchParams.of(k, knobs)
         if deadline is not None:
             deadline.check("shard fan-out")
         queries = np.asarray(vectors, dtype=np.float32)
@@ -646,14 +635,13 @@ class ShardedCollection:
         n_queries = queries.shape[0]
         if n_queries == 0:
             return []
-        if k == 0:
+        if params.k == 0:
             return [[] for _ in range(n_queries)]
-        per_shard = self._fan_out(
-            "search_batch", queries, k, flt=flt, exact=exact, ef=ef,
-            deadline=deadline, rescore_factor=rescore_factor,
-        )
+        per_shard = self._fan_out("search_batch", queries, params, deadline)
         return [
-            _merge_top_k([shard_lists[q] for shard_lists in per_shard], k)
+            _merge_top_k(
+                [shard_lists[q] for shard_lists in per_shard], params.k
+            )
             for q in range(n_queries)
         ]
 

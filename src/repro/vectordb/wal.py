@@ -37,9 +37,9 @@ Durability modes (``fsync=``):
   acknowledged write survives power loss. Slowest (one disk flush per
   write call).
 * ``"batch"`` (default) — appends return after a buffered write; a
-  background flusher thread fsyncs at most every ``flush_interval_s``
-  (default 5 ms, matched to the request coalescer's dispatch window,
-  so one flush covers a whole dispatch window's worth of writes).
+  background flusher thread fsyncs at most every ``FLUSH_INTERVAL_S``
+  (5 ms, matched to the request coalescer's dispatch window, so one
+  flush covers a whole dispatch window's worth of writes).
   Bounded loss window on power failure; nothing lost on process death
   (the OS already has the bytes).
 * ``"off"`` — never fsync (the OS flushes on its own schedule). Still
@@ -93,6 +93,9 @@ _U32 = struct.Struct("<I")
 
 #: Accepted fsync modes (see the module docstring).
 FSYNC_MODES = ("always", "batch", "off")
+
+#: Longest the ``"batch"`` flusher lets written bytes sit un-fsynced.
+FLUSH_INTERVAL_S = 0.005
 
 
 def wal_directory(snapshot_dir: str | Path) -> Path:
@@ -306,23 +309,13 @@ class WriteAheadLog:
     so mirrored writes are never logged twice.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        fsync: str = "batch",
-        flush_interval_s: float = 0.005,
-    ) -> None:
+    def __init__(self, path: str | Path, fsync: str = "batch") -> None:
         if fsync not in FSYNC_MODES:
             raise CollectionError(
                 f"unknown WAL fsync mode {fsync!r}; use one of {FSYNC_MODES}"
             )
-        if flush_interval_s <= 0:
-            raise CollectionError(
-                f"flush_interval_s must be positive, got {flush_interval_s}"
-            )
         self.path = Path(path)
         self.fsync_mode = fsync
-        self._flush_interval_s = flush_interval_s
         self._lock = threading.Lock()
         self._closed = False
         self._dirty = False  # bytes buffered/written but not yet fsynced
@@ -491,7 +484,7 @@ class WriteAheadLog:
 
     def _flush_loop(self) -> None:
         while True:
-            self._flush_wakeup.wait(self._flush_interval_s)
+            self._flush_wakeup.wait(FLUSH_INTERVAL_S)
             with self._lock:
                 if self._closed:
                     return

@@ -482,7 +482,6 @@ def oracle_entries(corpus, system, query):
         prepared.embedder.embed(query.text),
         config.candidate_k,
         flt=GeoBoundingBoxFilter("location", query.range),
-        ef=config.ef,
     )
     candidates = [
         Candidate(

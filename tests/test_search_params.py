@@ -1,0 +1,333 @@
+"""``SearchParams``: one search request, declared once.
+
+* the value itself — what ``SearchParams.of`` accepts, when two
+  searches may share a batch, that it survives the worker pipe;
+* the acceptance made executable — no function outside the value and
+  the index kernels names a search knob in its signature;
+* the untrusted edge — every documented ``/search`` knob is validated
+  where the request is built (400 before anything is enqueued), and no
+  body drawn from the filter grammar can make the server answer 500 or
+  emit non-JSON.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import pickle
+import urllib.error
+import urllib.request
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.serving.batcher import SearchCoalescer
+from repro.serving.http import ServingContext, ServingServer
+from repro.vectordb.client import VectorDBClient
+from repro.vectordb.collection import PointStruct, SearchParams
+from repro.vectordb.filters import FieldMatch
+from repro.vectordb.hnsw import HNSWIndex
+from repro.vectordb.sharded import ShardedCollection
+
+DIM = 8
+N_POINTS = 50
+
+
+def _points(n: int = N_POINTS) -> list[PointStruct]:
+    rng = np.random.default_rng(5)
+    vecs = rng.standard_normal((n, DIM)).astype(np.float32)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return [
+        PointStruct(
+            id=f"p{i}", vector=vecs[i],
+            payload={"group": i % 5, "rank": float(i), "city": "SL"},
+        )
+        for i in range(n)
+    ]
+
+
+QUERY = [0.5, -0.5, 0.25, 0.0, 0.1, 0.3, -0.2, 0.4]
+
+
+@pytest.fixture(scope="module")
+def client():
+    with VectorDBClient() as c:
+        c.create_collection("pts", dim=DIM, shards=2).upsert(_points())
+        yield c
+
+
+@pytest.fixture(scope="module")
+def server(client):
+    context = ServingContext(client, max_wait_s=0.001, own_client=False)
+    with ServingServer(context, port=0).start() as srv:
+        yield srv
+
+
+def _refuse_constant(token: str):
+    raise ValueError(f"non-JSON constant {token} in a response body")
+
+
+def _post(base: str, path: str, body: dict) -> tuple[int, dict]:
+    """POST ``body``; the response must parse as *strict* JSON."""
+    request = urllib.request.Request(
+        base + path, data=json.dumps(body).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            status, raw = response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        status, raw = exc.code, exc.read()
+    return status, json.loads(raw, parse_constant=_refuse_constant)
+
+
+def _enqueued(base: str) -> int:
+    with urllib.request.urlopen(base + "/healthz", timeout=30) as response:
+        return json.loads(response.read())["search_coalescer"]["requests"]
+
+
+# ----------------------------------------------------------------------
+# the value
+# ----------------------------------------------------------------------
+
+
+class TestSearchParams:
+    def test_of_takes_k_plus_keywords_or_a_ready_value(self):
+        flt = FieldMatch("group", 2)
+        params = SearchParams(5, flt=flt, ef=32)
+        assert SearchParams.of(5, {"flt": flt, "ef": 32}) == params
+        assert SearchParams.of(params, {}) is params
+        with pytest.raises(TypeError):
+            SearchParams.of(params, {"exact": True})
+
+    def test_unknown_keyword_is_still_a_type_error(self, client):
+        with pytest.raises(TypeError):
+            client.search("pts", QUERY, 3, beam=5)
+        with pytest.raises(TypeError):
+            client.get_collection("pts").search_batch([QUERY], 3, beam=5)
+
+    def test_hashable_exactly_when_the_filter_is(self):
+        assert hash(SearchParams(3, flt=FieldMatch("city", "SL"))) == hash(
+            SearchParams(3, flt=FieldMatch("city", "SL"))
+        )
+        with pytest.raises(TypeError):
+            hash(SearchParams(3, flt=FieldMatch("city", [1, 2])))
+
+    def test_equal_params_share_a_batch_unequal_never_do(
+        self, client, monkeypatch
+    ):
+        calls: list[tuple[SearchParams, int]] = []
+        real = client.search_batch
+
+        def spy(name, vectors, params, deadline=None):
+            calls.append((params, len(vectors)))
+            return real(name, vectors, params, deadline)
+
+        monkeypatch.setattr(client, "search_batch", spy)
+        flt = FieldMatch("group", 2)
+        variants = [
+            {}, {"rescore_factor": 2.0}, {"ef": 32}, {"exact": True},
+        ]
+        # A 30 s window: only close()'s drain fires the groups, so equal
+        # keys are certain to have met in the queue.
+        coalescer = SearchCoalescer(client, max_batch=64, max_wait_s=30.0)
+        futures = [
+            coalescer.submit("pts", QUERY, 4, flt=flt, **knobs)
+            for knobs in variants for _ in range(2)
+        ]
+        coalescer.close()
+        assert all(len(f.result(timeout=5)) == 4 for f in futures)
+        assert sorted(calls, key=lambda c: repr(c[0])) == sorted(
+            [(SearchParams(4, flt=flt, **knobs), 2) for knobs in variants],
+            key=lambda c: repr(c[0]),
+        )
+
+    def test_survives_the_worker_pipe(self):
+        params = SearchParams(
+            5, flt=FieldMatch("group", 1), exact=False, ef=32,
+            rescore_factor=2.0,
+        )
+        assert pickle.loads(pickle.dumps(params)) == params
+        ref = ShardedCollection("ref", DIM, shards=2, quantize="sq8")
+        sharded = ShardedCollection("w", DIM, shards=2, quantize="sq8")
+        try:
+            for collection in (ref, sharded):
+                collection.upsert(_points())
+            try:
+                sharded.set_parallel("process")
+            except OSError as exc:  # pragma: no cover
+                pytest.skip(f"cannot start worker processes: {exc}")
+            got = sharded.search(QUERY, params)
+            assert len(got) == 5
+            assert [h.id for h in got] == [
+                h.id for h in ref.search(QUERY, params)
+            ]
+        finally:
+            ref.close(wait=True)
+            sharded.close(wait=True)
+
+
+def test_no_signature_outside_the_value_and_the_kernels_names_a_knob():
+    """ROADMAP's acceptance: a new knob is a ``SearchParams`` field, its
+    use in ``collection.py`` and its wire name in ``http.py``."""
+    root = Path(repro.__file__).parent
+    kernels = {root / "vectordb" / "hnsw.py", root / "vectordb" / "flat.py"}
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path in kernels:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            named = {a.arg for a in args} & {"exact", "ef", "rescore_factor"}
+            if named:
+                offenders.append(
+                    (str(path.relative_to(root)), node.lineno, sorted(named))
+                )
+    assert offenders == []
+
+
+# ----------------------------------------------------------------------
+# the untrusted edge
+# ----------------------------------------------------------------------
+
+
+def _search_body(**overrides) -> dict:
+    return {"collection": "pts", "vector": QUERY, "k": 3, **overrides}
+
+
+class TestSearchEndpoint:
+    @pytest.mark.parametrize("path, body", [
+        # (at the parent: status)
+        ("/search", _search_body(ef=-5)),                      # 200, beam = k
+        ("/search", _search_body(ef=0)),                       # 200, default
+        ("/search", _search_body(rescore_factor=0.5)),         # 200, ignored
+        ("/search", _search_body(rescore_factor=float("nan"))),  # 200
+        ("/search", _search_body(k=float("inf"))),             # 500
+        ("/search", _search_body(vector=[float("nan")] * DIM)),  # 200, NaN
+        ("/search", _search_body(vector=[float("inf")] * DIM)),  # 200, NaN
+        ("/search", _search_body(vector=[1e39] * DIM)),        # 200, NaN
+        ("/upsert", {"collection": "pts", "points": [           # 200, stored
+            {"id": "bad", "vector": [float("nan")] * DIM},
+        ]}),
+    ])
+    def test_out_of_range_input_is_400_before_anything_is_enqueued(
+        self, server, client, path, body
+    ):
+        before = _enqueued(server.url)
+        status, answer = _post(server.url, path, body)
+        assert (status, list(answer)) == (400, ["error"])
+        assert _enqueued(server.url) == before
+        assert len(client.get_collection("pts")) == N_POINTS
+
+    @pytest.mark.parametrize("flt, expected", [
+        # unhashable params ride alone — at the parent: 500, the batch
+        # runner was handed the private-group placeholder
+        ({"match": {"key": "city", "value": [1, 2]}}, 200),
+        ({"match": {"key": "city", "value": {"a": 1}}}, 200),
+        ({"match": {"key": ["city"], "value": "SL"}}, 400),
+        # a null child is not a filter — at the parent: 500 both ways
+        ({"must_not": None}, 400),
+        ({"should": [None, {"match": {"key": "city", "value": "SL"}}]}, 400),
+    ])
+    def test_filter_edge_answers_the_same_coalesced_or_not(
+        self, server, flt, expected
+    ):
+        for coalesce in (True, False):
+            status, _ = _post(
+                server.url, "/search",
+                _search_body(filter=flt, coalesce=coalesce),
+            )
+            assert status == expected
+
+    def test_ef_reaches_the_hnsw_kernel(self, server, monkeypatch):
+        seen = []
+        real = HNSWIndex.search_batch
+
+        def spy(self, queries, k, ef=None, predicate=None):
+            seen.append(ef)
+            return real(self, queries, k, ef=ef, predicate=predicate)
+
+        monkeypatch.setattr(HNSWIndex, "search_batch", spy)
+        status, answer = _post(server.url, "/search", _search_body(ef=77))
+        assert status == 200 and len(answer["hits"]) == 3
+        assert seen == [77, 77]  # one traversal per shard
+
+
+# Mostly well-formed bodies with one or two fields off the rails: a body
+# that is junk everywhere earns its 400 at the first field and tests
+# nothing behind it.
+_numbers = st.one_of(
+    st.integers(-3, 60),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("inf"), float("nan"), 1e39, -1e39, 0.5, 10**30]),
+)
+_scalars = st.one_of(
+    st.none(), st.booleans(), _numbers, st.sampled_from(["SL", "", "x"]),
+)
+_leaves = st.one_of(
+    _scalars, _scalars,
+    st.lists(_scalars, max_size=3),
+    st.dictionaries(st.sampled_from(["a", "lat"]), _scalars, max_size=2),
+)
+_keys = st.one_of(
+    st.sampled_from(["city", "group", "rank", "location"]),
+    st.sampled_from(["city", "group", "rank", "location"]),
+    _leaves,
+)
+
+
+def _mostly(value, otherwise: st.SearchStrategy) -> st.SearchStrategy:
+    return st.one_of(st.just(value), st.just(value), otherwise)
+
+
+def _node(name: str, **fields: st.SearchStrategy) -> st.SearchStrategy:
+    return st.fixed_dictionaries({name: st.fixed_dictionaries(fields)})
+
+
+_filters = st.recursive(
+    st.one_of(
+        _node("match", key=_keys, value=_leaves),
+        _node("in", key=_keys, values=_leaves),
+        _node("range", key=_keys, gte=_leaves, lte=_leaves),
+        _node("geo_bounding_box", key=_keys, min_lat=_numbers,
+              min_lon=_numbers, max_lat=_numbers, max_lon=_leaves),
+        _node("geo_radius", key=_keys, lat=_numbers, lon=_numbers,
+              radius_km=_leaves),
+    ),
+    lambda children: st.one_of(
+        st.fixed_dictionaries({"must": st.lists(children, max_size=3)}),
+        st.fixed_dictionaries({"should": st.lists(children, max_size=3)}),
+        st.fixed_dictionaries({"must_not": st.one_of(children, _leaves)}),
+    ),
+    max_leaves=4,
+)
+_bodies = st.fixed_dictionaries(
+    {
+        "collection": _mostly("pts", st.sampled_from(["ghost", 7, None])),
+        "vector": _mostly(QUERY, st.one_of(
+            st.lists(_numbers, min_size=DIM, max_size=DIM), _leaves,
+        )),
+        "k": _mostly(3, _leaves),
+    },
+    optional={
+        "filter": _filters,
+        "exact": _scalars,
+        "ef": _mostly(16, _leaves),
+        "rescore_factor": _mostly(2.0, _leaves),
+        "coalesce": st.booleans(),
+        "with_payload": st.booleans(),
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=_bodies)
+def test_no_search_body_earns_a_500_or_a_non_json_answer(server, body):
+    status, _ = _post(server.url, "/search", body)
+    assert status in (200, 400, 404)

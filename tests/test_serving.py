@@ -130,11 +130,18 @@ class TestMicroBatcher:
         assert sorted(seen) == [("a", (0, 1, 2)), ("b", (0, 1))]
 
     def test_unhashable_key_gets_private_group(self):
-        with MicroBatcher(
-            lambda key, items, deadline: items, max_batch=4, max_wait_s=0.005
-        ) as batcher:
-            future = batcher.submit({"un": "hashable"}, 1)
-            assert future.result(timeout=5) == 1
+        seen = []
+
+        def run(key, items, deadline):
+            seen.append((key, tuple(items)))
+            return items
+
+        with MicroBatcher(run, max_batch=4, max_wait_s=0.005) as batcher:
+            futures = [batcher.submit({"un": "hashable"}, i) for i in (1, 2)]
+            assert [f.result(timeout=5) for f in futures] == [1, 2]
+        # never coalesced, and run_batch gets the caller's key, not the
+        # placeholder the group is filed under
+        assert seen == [({"un": "hashable"}, (1,)), ({"un": "hashable"}, (2,))]
 
     def test_error_isolation_poison_fails_alone(self):
         def run(key, items, deadline):
