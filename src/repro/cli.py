@@ -113,13 +113,7 @@ def _print_entries(corpus, entries) -> None:
 
 
 def _run_query_batch(args: argparse.Namespace, corpus, system, center) -> int:
-    """``--batch``: answer ';'-separated queries via the batched engine.
-
-    With ``--compare``, the batched pass runs first and then the same
-    queries are re-answered sequentially so the speedup is visible from
-    the command line — an explicit opt-in, since against a hosted LLM the
-    baseline pass doubles cost and latency.
-    """
+    """``--batch``: answer ';'-separated queries via the batched engine."""
     import time
 
     texts = [t.strip() for t in args.text.split(";") if t.strip()]
@@ -144,13 +138,6 @@ def _run_query_batch(args: argparse.Namespace, corpus, system, center) -> int:
               f"{len(result.filtered_out)} filtered out")
         _print_entries(corpus, result.entries)
     print(f"\nbatch of {len(queries)}: {batch_s * 1000:.1f} ms")
-    if args.compare:
-        t0 = time.perf_counter()
-        sequential = [system.query(q) for q in queries]
-        sequential_s = time.perf_counter() - t0
-        assert len(sequential) == len(results)
-        print(f"sequential loop: {sequential_s * 1000:.1f} ms "
-              f"({sequential_s / max(batch_s, 1e-9):.1f}x speedup from batching)")
     return 0
 
 
@@ -169,11 +156,11 @@ def cmd_table2(args: argparse.Namespace) -> int:
 def cmd_reshard(args: argparse.Namespace) -> int:
     """``reshard``: rewrite a saved snapshot for a new shard count.
 
-    Re-routes every point via ``shard_for(id, new_shards)`` without
-    re-embedding anything; scroll order, counts, payload indexes, and
-    the HNSW config are preserved (see ``reshard_snapshot``).
+    Re-routes every point, logged WAL tail included, without
+    re-embedding anything; scroll order, counts, payload indexes, the
+    HNSW config and the sq8 tier are preserved (see ``reshard_snapshot``).
     """
-    from repro.vectordb.persistence import load_collection, reshard_snapshot
+    from repro.vectordb.persistence import inspect_snapshot, reshard_snapshot
 
     if args.to_shards <= 0:
         print(f"--to must be positive, got {args.to_shards}")
@@ -181,12 +168,11 @@ def cmd_reshard(args: argparse.Namespace) -> int:
     written = reshard_snapshot(
         args.snapshot, args.to_shards, out_dir=args.out or None
     )
-    collection = load_collection(written)
     print(
         f"resharded {args.snapshot} -> {written}: "
-        f"{len(collection)} points across {args.to_shards} shard(s)"
+        f"{inspect_snapshot(written)['count']} points across "
+        f"{args.to_shards} shard(s)"
     )
-    collection.close()
     return 0
 
 
@@ -467,9 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "them through the batched engine (query_many)")
     p.add_argument("--parallel-refine", type=int, default=4,
                    help="refinement thread-pool size in --batch mode")
-    p.add_argument("--compare", action="store_true",
-                   help="in --batch mode, also time a sequential loop over "
-                        "the same queries (doubles the LLM calls)")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("table2", help="reproduce Table 2")

@@ -5,14 +5,14 @@ and query sentence, a map view with green (recommended) and blue (fetched
 but filtered) markers, the top recommendation's detail card with the LLM's
 reason, and the full result list. :func:`build_demo_page` renders it all
 into one self-contained HTML file; :class:`DemoServer` serves it with a
-live query box using only the standard library.
+live query box on the serving layer's :class:`~repro.serving.http.HttpService`.
 """
 
 from __future__ import annotations
 
 import html
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import HTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.core.pipeline import SemaSK
@@ -22,6 +22,7 @@ from repro.data.dataset import Dataset
 from repro.demo.render import render_map_svg
 from repro.geo.bbox import BoundingBox
 from repro.geo.geocoder import ReverseGeocoder
+from repro.serving.http import HttpService, _JsonHandler
 
 _PAGE_STYLE = """
 body { font-family: 'Segoe UI', sans-serif; margin: 0; background: #fafafa;
@@ -149,51 +150,52 @@ def build_demo_page(
 </body></html>"""
 
 
-class DemoServer:
-    """A minimal stdlib HTTP server around :func:`build_demo_page`."""
+class _DemoHandler(_JsonHandler):
+    """Renders :func:`build_demo_page` for the bound :class:`DemoContext`."""
+
+    context: DemoContext  # injected by DemoServer
+
+    def do_GET(self) -> None:  # noqa: N802 (stdlib API name)
+        self.server.request_began()  # counted, so shutdown drains it
+        try:
+            context = self.context
+            params = parse_qs(urlparse(self.path).query)
+            neighborhood = params.get(
+                "neighborhood", [context.default_neighborhood]
+            )[0]
+            query_text = params.get("q", [context.default_query])[0]
+            try:
+                page = build_demo_page(
+                    context, neighborhood, query_text, interactive=True
+                )
+                status = 200
+            except Exception as exc:  # reprolint: last-resort -- rendered as the 500 error page
+                page = f"<h1>Error</h1><pre>{html.escape(str(exc))}</pre>"
+                status = 500
+            self._send_bytes(
+                status, page.encode("utf-8"), "text/html; charset=utf-8"
+            )
+        finally:
+            self.server.request_finished()
+
+
+class DemoServer(HttpService):
+    """:func:`build_demo_page` behind an :class:`HttpService` (bound at
+    construction; ``port=0`` picks an ephemeral port)."""
 
     def __init__(self, context: DemoContext, port: int = 8808) -> None:
-        self._context = context
-        self._port = port
+        handler = type("BoundDemoHandler", (_DemoHandler,), {
+            "context": context,
+        })
+        super().__init__(
+            handler, "127.0.0.1", port, None, on_close=lambda: None
+        )
 
     def make_server(self) -> HTTPServer:
-        """Build the HTTP server (caller controls serve_forever)."""
-        context = self._context
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 (stdlib API name)
-                params = parse_qs(urlparse(self.path).query)
-                neighborhood = params.get(
-                    "neighborhood", [context.default_neighborhood]
-                )[0]
-                query_text = params.get("q", [context.default_query])[0]
-                try:
-                    page = build_demo_page(
-                        context, neighborhood, query_text, interactive=True
-                    )
-                    status = 200
-                except Exception as exc:  # reprolint: last-resort -- rendered as the 500 error page
-                    page = f"<h1>Error</h1><pre>{html.escape(str(exc))}</pre>"
-                    status = 500
-                body = page.encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", "text/html; charset=utf-8")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args: object) -> None:
-                """Silence request logging."""
-
-        return HTTPServer(("127.0.0.1", self._port), Handler)
+        """The bound HTTP server (caller controls serve_forever)."""
+        return self._httpd
 
     def serve_forever(self) -> None:
         """Run until interrupted (used by examples/demo script)."""
-        server = self.make_server()
-        print(f"SemaSK demo at http://127.0.0.1:{self._port}/")
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.server_close()
+        print(f"SemaSK demo at {self.url}/")
+        super().serve_forever()

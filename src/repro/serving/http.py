@@ -575,15 +575,21 @@ class _JsonHandler(BaseHTTPRequestHandler):
         self._body_unread = True  # until _read_body_bytes consumes it
         return super().parse_request()
 
-    def _send_bytes(self, status: int, data: bytes) -> None:
-        """Write one JSON response; every 429 carries ``Retry-After``."""
+    def _send_bytes(
+        self,
+        status: int,
+        data: bytes,
+        content_type: str = "application/json; charset=utf-8",
+    ) -> None:
+        """Write one response (JSON unless told otherwise); every 429
+        carries ``Retry-After``."""
         declared = self.headers.get("Content-Length", "0")
         if self._body_unread and declared != "0":
             # The unread bytes would be parsed as the next request line
             # on this keep-alive connection.
             self.close_connection = True
         self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         if status == 429:
             self.send_header("Retry-After", "1")

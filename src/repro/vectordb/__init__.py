@@ -17,9 +17,10 @@ serves large collections off the page cache; see
 Offline index lifecycle: ``build_hnsw`` on either backend constructs the
 HNSW graph(s) eagerly — sharded collections build per-shard graphs in
 parallel worker processes — and :func:`reshard_snapshot` rewrites a saved
-snapshot for a different shard count (``VectorDBClient.reshard_collection``
-is the in-memory equivalent), so shard counts are an operational knob
-rather than frozen at creation time.
+snapshot for a different shard count, logged WAL tail included
+(``VectorDBClient.reshard_collection`` is the in-memory equivalent; both
+go through :func:`~repro.vectordb.sharded.reroute`), so shard counts are
+an operational knob rather than frozen at creation time.
 
 Durability: a per-shard write-ahead log (:mod:`repro.vectordb.wal`)
 records accepted writes in a checksummed append-only file next to the

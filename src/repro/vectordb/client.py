@@ -24,7 +24,7 @@ from repro.vectordb.contracts import array_contract
 from repro.vectordb.deadline import Deadline
 from repro.vectordb.distance import Metric
 from repro.vectordb.filters import Filter
-from repro.vectordb.sharded import AnyCollection, ShardedCollection
+from repro.vectordb.sharded import AnyCollection, ShardedCollection, reroute
 
 
 class VectorDBClient:
@@ -85,7 +85,7 @@ class VectorDBClient:
             if exist_ok:
                 have = (existing.dim, existing.metric,
                         getattr(existing, "n_shards", 1),
-                        getattr(existing, "quantize", None))
+                        existing.quantize)
                 want = (dim, metric, shards, quantize)
                 if have != want:
                     raise CollectionError(
@@ -140,8 +140,8 @@ class VectorDBClient:
         """Re-route a live collection's points across ``new_shards`` shards.
 
         The in-memory counterpart of
-        :func:`repro.vectordb.persistence.reshard_snapshot`: every point
-        is re-assigned via ``shard_for(id, new_shards)``, global insertion
+        :func:`repro.vectordb.persistence.reshard_snapshot`, through the
+        same :func:`~repro.vectordb.sharded.reroute`: global insertion
         order, payloads, payload indexes, the quantized-tier setting, and
         the HNSW config carry over,
         and the old backend is closed and replaced under the same name.
@@ -155,31 +155,17 @@ class VectorDBClient:
             raise CollectionError(
                 f"shard count must be positive, got {new_shards}"
             )
-        quantize = getattr(old, "quantize", None)
         if new_shards > 1:
             new: AnyCollection = ShardedCollection(
                 name, old.dim, metric=old.metric, hnsw=old.hnsw_config,
-                shards=new_shards, quantize=quantize,
+                shards=new_shards, quantize=old.quantize,
             )
         else:
             new = Collection(
                 name, old.dim, metric=old.metric, hnsw=old.hnsw_config,
-                quantize=quantize,
+                quantize=old.quantize,
             )
-        order = (
-            old.point_order if isinstance(old, ShardedCollection)
-            else old.point_ids()
-        )
-        new.upsert(
-            PointStruct(
-                id=point_id,
-                vector=old.point_vector(point_id),
-                payload=old.retrieve(point_id).payload,
-            )
-            for point_id in order
-        )
-        for field in old.indexed_payload_fields:
-            new.create_payload_index(field)
+        reroute(old, new)
         was_built = old.hnsw_is_built and len(old) > 0
         old.close()
         self._collections[name] = new
@@ -251,7 +237,7 @@ class VectorDBClient:
             "metric": collection.metric.value,
             "shards": getattr(collection, "n_shards", 1),
             "parallel": getattr(collection, "parallel", None),
-            "quantize": getattr(collection, "quantize", None),
+            "quantize": collection.quantize,
             "hnsw_built": collection.hnsw_is_built,
             "indexed_payload_fields": sorted(
                 collection.indexed_payload_fields

@@ -56,24 +56,23 @@ new snapshot are dropped, writes that raced the save survive in the log.
 See :mod:`repro.vectordb.wal` for the record format.
 
 Stranded temporaries: a hard kill mid-save can leave ``.<name>.save-tmp-*``
-(and ``.old-*`` / ``.reshard-tmp*``) sibling directories behind. Loads and
-inspections never look at them, :func:`inspect_snapshot` lists them so
-operators can see the litter, and the next :func:`save_collection` of the
-same path sweeps any older than one hour (age-gated so a concurrent
-in-flight save's staging tree is never deleted from under it).
+(and ``.old-*``; from older versions' reshard, ``.reshard-tmp``) sibling
+directories behind. Loads and inspections never look at them,
+:func:`inspect_snapshot` lists them so operators can see the litter, and
+the next :func:`save_collection` of the same path sweeps any older than
+one hour (age-gated so a concurrent in-flight save's staging tree is
+never deleted from under it).
 
-Resharding: :func:`reshard_snapshot` rewrites a snapshot for a different
-shard count without touching embeddings — every point is re-routed by
-``shard_for(id, new_shards)`` while the global insertion order, payload
-indexes, and HNSW config carry over — so deployments can scale a
-collection's shard count up or down offline instead of being frozen at
-whatever ``shards=N`` it was created with. Resharding drops graph files
-(the per-shard membership changed, so the old graphs are meaningless);
-run ``snapshot migrate`` after to re-persist freshly built graphs.
+Resharding: :func:`reshard_snapshot` is :func:`load_collection` →
+:func:`~repro.vectordb.sharded.reroute` → :func:`save_collection`: a
+snapshot changes shard count offline with everything a load restores
+(the WAL tail too) and everything a save guarantees. Graph files are
+dropped (shard membership changed); ``snapshot migrate`` re-persists them.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -91,7 +90,7 @@ from repro.vectordb.collection import Collection, HnswConfig, SnapshotView
 from repro.vectordb.distance import Metric
 from repro.vectordb.hnsw import HNSWIndex
 from repro.vectordb.quantization import SQ8Store, validate_quantize
-from repro.vectordb.sharded import AnyCollection, ShardedCollection, shard_for
+from repro.vectordb.sharded import AnyCollection, ShardedCollection, reroute
 from repro.vectordb.wal import (
     FSYNC_MODES,
     WriteAheadLog,
@@ -129,6 +128,18 @@ def _shard_dir(directory: Path, index: int) -> Path:
     return directory / f"shard-{index:02d}"
 
 
+def _shard_dirs(directory: Path, meta: dict) -> list[Path]:
+    """Where a snapshot's single-collection snapshots live.
+
+    The ``shards`` key marks the sharded layout (written for ANY shard
+    count, including 1); a plain snapshot never carries it and is its
+    own only shard.
+    """
+    if "shards" in meta:
+        return [_shard_dir(directory, i) for i in range(meta["shards"])]
+    return [directory]
+
+
 def _shards_of(collection: AnyCollection) -> tuple[Collection, ...]:
     """The per-shard collections (a plain collection is its own shard)."""
     if isinstance(collection, ShardedCollection):
@@ -152,17 +163,14 @@ def _temp_siblings(directory: Path) -> list[Path]:
     )
 
 
-def _sweep_stale_temps(
-    directory: Path, max_age_s: float = STALE_TEMP_AGE_S
-) -> list[Path]:
-    """Delete stranded temp siblings older than ``max_age_s`` seconds.
+def _sweep_stale_temps(directory: Path) -> None:
+    """Delete stranded temp siblings older than :data:`STALE_TEMP_AGE_S`.
 
-    Returns the paths removed. Only age-expired temps go — a concurrent
-    save's live staging tree (fresh mtime) survives, as does anything
-    that vanishes or errors mid-check (another sweeper may be racing us).
+    Only age-expired temps go — a concurrent save's live staging tree
+    (fresh mtime) survives, as does anything that vanishes or errors
+    mid-check (another sweeper may be racing us).
     """
-    cutoff = time.time() - max_age_s
-    swept: list[Path] = []
+    cutoff = time.time() - STALE_TEMP_AGE_S
     for temp in _temp_siblings(directory):
         try:
             if temp.stat().st_mtime > cutoff:
@@ -170,8 +178,6 @@ def _sweep_stale_temps(
         except OSError:
             continue
         shutil.rmtree(temp, ignore_errors=True)
-        swept.append(temp)
-    return swept
 
 
 def _fsync_path(path: Path) -> None:
@@ -226,36 +232,27 @@ def _swap_into_place(staged: Path, final: Path) -> None:
     reader side.
     """
     _fsync_tree(staged)
-    retired = final.parent / f".{final.name}.old-{uuid.uuid4().hex[:8]}"
-    had_old = final.exists()
-    if had_old:
-        try:
-            final.rename(retired)
-        except FileNotFoundError:
-            had_old = False  # a concurrent swap already moved it aside
-    superseded = [retired] if had_old else []
+    superseded: list[Path] = []  # trees we moved aside, oldest first
     for _ in range(8):
         try:
             staged.rename(final)
             break
+        except OSError as exc:
+            if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                if superseded:
+                    superseded[-1].rename(final)  # restore the original
+                raise
+        # A tree is published at ``final`` (os.rename cannot replace a
+        # non-empty directory) — the previous snapshot, or a concurrent
+        # save's that landed between our attempts: retire it and retry,
+        # so the last swap wins. Never gated on exists(): by now another
+        # saver may have moved that tree aside, which is only a lost race.
+        retired = final.parent / f".{final.name}.old-{uuid.uuid4().hex[:8]}"
+        try:
+            final.rename(retired)
         except OSError:
-            if final.exists():
-                # A concurrent swap published between our rename attempts
-                # (os.rename cannot replace a non-empty directory): retire
-                # the other save's tree and retry, so the last swap wins.
-                bumped = (
-                    final.parent
-                    / f".{final.name}.old-{uuid.uuid4().hex[:8]}"
-                )
-                try:
-                    final.rename(bumped)
-                except OSError:
-                    continue  # lost yet another race; retry from the top
-                superseded.append(bumped)
-                continue
-            if had_old:
-                retired.rename(final)  # restore the original
-            raise
+            continue  # lost yet another race; retry from the top
+        superseded.append(retired)
     else:  # pathological contention: every attempt lost to another swap
         if final.exists():
             # A concurrent winner is published; the trees we retired
@@ -263,8 +260,8 @@ def _swap_into_place(staged: Path, final: Path) -> None:
             # removed by the caller when we raise.
             for tree in superseded:
                 shutil.rmtree(tree, ignore_errors=True)
-        elif had_old:
-            retired.rename(final)  # restore the original
+        elif superseded:
+            superseded[-1].rename(final)  # restore the original
         raise CollectionError(
             f"could not publish snapshot at {final}: lost the rename "
             "race repeatedly to concurrent saves"
@@ -314,7 +311,14 @@ def save_collection(
     with collection.write_lock:
         views = [shard.snapshot_view() for shard in _shards_of(collection)]
         if isinstance(collection, ShardedCollection):
-            meta = _base_meta(collection)
+            # The one place the top-level manifest is written.
+            meta = _meta_dict(
+                name=collection.name, dim=collection.dim,
+                metric=collection.metric.value, count=len(collection),
+                hnsw=asdict(collection.hnsw_config),
+                indexed=sorted(collection.indexed_payload_fields),
+                quantize=collection.quantize,
+            )
             meta["shards"] = collection.n_shards
             meta["order"] = list(collection.point_order)
     # Unique per invocation, so concurrent saves of the same path never
@@ -330,10 +334,6 @@ def save_collection(
             (staged / _META_FILE).write_text(json.dumps(meta, indent=2))
         else:
             _save_view(views[0], staged, include_graphs)
-    except BaseException:
-        shutil.rmtree(staged, ignore_errors=True)
-        raise
-    try:
         _swap_into_place(staged, directory)
     except BaseException:
         shutil.rmtree(staged, ignore_errors=True)
@@ -382,7 +382,11 @@ def load_collection(
     (``"always"``, ``"batch"``, or ``"off"`` — see
     :class:`~repro.vectordb.wal.WriteAheadLog`) to attach per-shard logs
     after replay. ``wal=None`` (default) leaves logging off and the log
-    files untouched; every pre-WAL call site behaves exactly as before.
+    files untouched.
+
+    Logs of a shard index the snapshot lacks (older reshards left them)
+    are not replayed — no order can be guessed for their records — but
+    one :class:`RuntimeWarning` names each that holds any.
     """
     directory = Path(directory)
     if wal is not None and wal not in FSYNC_MODES:
@@ -391,29 +395,33 @@ def load_collection(
         )
     meta = _read_meta(directory)
     hnsw_config = hnsw or HnswConfig(**meta["hnsw"])
-    # The "shards" key marks the sharded layout (written for ANY shard
-    # count, including 1); plain snapshots never carry it.
-    if "shards" in meta:
-        shards = [
-            _load_single(_shard_dir(directory, index), hnsw_config, mmap=mmap)
-            for index in range(meta["shards"])
-        ]
-        collection: AnyCollection = ShardedCollection.from_shards(
+    shard_dirs = _shard_dirs(directory, meta)
+    shards = [
+        _load_single(shard_path, hnsw_config, mmap)
+        for shard_path in shard_dirs
+    ]
+    collection: AnyCollection = shards[0]
+    if shard_dirs != [directory]:  # the sharded layout, for any count
+        collection = ShardedCollection.from_shards(
             name=meta["name"],
             shards=shards,
             order=meta["order"],
             metric=Metric(meta["metric"]),
             hnsw=hnsw_config,
         )
-        n_logs = meta["shards"]
-    else:
-        collection = _load_single(directory, hnsw_config, meta=meta, mmap=mmap)
-        n_logs = 1
     wal_dir = wal_directory(directory)
-    for index in range(n_logs):
+    for index in range(len(shards)):
         log_path = shard_wal_path(wal_dir, index)
         if log_path.exists():
             replay_into(collection, log_path)
+    if orphans := _orphan_logs(directory, len(shards)):
+        warnings.warn(
+            f"{wal_dir} holds acknowledged writes in logs that none of the "
+            f"{len(shards)} shard(s) of {directory} replays, so they are NOT "
+            f"applied (records per file: {orphans})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     if wal is not None:
         attach_wal(collection, directory, fsync=wal)
     return collection
@@ -448,8 +456,10 @@ def inspect_snapshot(directory: str | Path) -> dict:
 
     Returns schema, name, dim, metric, count, shard layout, per-shard
     storage details (vector file format and whether a persisted graph is
-    present), sibling WAL state (record counts and any torn-tail bytes a
-    recovery would discard), and temp siblings stranded by interrupted
+    present), sibling WAL state (record counts, any torn-tail bytes a
+    recovery would discard, and under ``orphan_logs`` the record counts
+    of files for a shard index the snapshot does not have, which no load
+    replays), and temp siblings stranded by interrupted
     saves — the CLI ``snapshot inspect`` payload. Stranded temps and WAL
     files are reported, never read into the summary's counts: the
     snapshot's own metadata stays authoritative.
@@ -466,15 +476,9 @@ def inspect_snapshot(directory: str | Path) -> dict:
         "hnsw": meta["hnsw"],
         "indexed_payload_fields": sorted(meta["indexed_payload_fields"]),
         "quantize": meta.get("quantize"),
+        "shards": meta.get("shards"),  # None = plain snapshot
     }
-    if "shards" in meta:
-        shard_dirs = [
-            _shard_dir(directory, index) for index in range(meta["shards"])
-        ]
-        info["shards"] = meta["shards"]
-    else:
-        shard_dirs = [directory]
-        info["shards"] = None
+    shard_dirs = _shard_dirs(directory, meta)
     details = []
     for shard_path in shard_dirs:
         details.append(
@@ -492,12 +496,30 @@ def inspect_snapshot(directory: str | Path) -> dict:
     info["mmap_capable"] = all(d["vector_format"] == "npy" for d in details)
     info["graphs_persisted"] = all(d["graph"] for d in details)
     info["codes_persisted"] = all(d["codes"] for d in details)
-    info["wal"] = _inspect_wal(directory)
+    info["wal"] = _inspect_wal(directory, len(shard_dirs))
     info["stale_temps"] = [path.name for path in _temp_siblings(directory)]
     return info
 
 
-def _inspect_wal(directory: Path) -> dict | None:
+def _orphan_logs(directory: Path, n_shards: int) -> dict[str, int]:
+    """Record counts of sibling logs that no shard of the snapshot owns:
+    ``shard-NN.wal`` with ``NN >= n_shards`` and at least one record —
+    acknowledged writes no load will replay, so callers make them loud."""
+    wal_dir = wal_directory(directory)
+    owned = {shard_wal_path(wal_dir, i) for i in range(n_shards)}
+    orphans: dict[str, int] = {}
+    for path in sorted(wal_dir.glob("shard-*.wal")):
+        if path not in owned:
+            try:
+                records = wal_scan(path)[1]
+            except (OSError, CollectionError):
+                continue  # unreadable or not a WAL: inspect reports it
+            if records:
+                orphans[path.name] = records
+    return orphans
+
+
+def _inspect_wal(directory: Path, n_shards: int) -> dict | None:
     """Summarize the snapshot's sibling WAL directory, or ``None``."""
     wal_dir = wal_directory(directory)
     if not wal_dir.is_dir():
@@ -525,6 +547,7 @@ def _inspect_wal(directory: Path) -> dict | None:
         "path": str(wal_dir),
         "records": sum(f.get("records", 0) for f in files),
         "files": files,
+        "orphan_logs": _orphan_logs(directory, n_shards),
     }
 
 
@@ -575,121 +598,57 @@ def reshard_snapshot(
 ) -> Path:
     """Rewrite a snapshot with its points re-routed across ``new_shards``.
 
-    Works on any :func:`save_collection` output — sharded snapshots of
-    any shard count and plain single-collection snapshots (treated as
-    one source shard). Source shards are streamed one at
-    a time (raw arrays only; no collections or HNSW graphs are
-    instantiated), each point lands in ``shard_for(id, new_shards)``,
-    and within every new shard points keep their global-insertion-order
-    ranking, so a reload sees identical ``scroll`` order, counts,
-    payload-index configuration, and ``HnswConfig``. The result is
-    always the sharded layout (``new_shards`` may be 1), written
-    without graph or quantized-tier files — shard membership changed,
-    so persisted graphs and per-shard codebooks no longer describe any
-    shard; the next load rebuilds graphs lazily (or run
-    :func:`migrate_snapshot`, with ``quantize="sq8"`` to re-fit codes).
+    A composition, like :func:`migrate_snapshot`: :func:`load_collection`
+    (memory-mapped; replays the WAL tail, so logged writes are carried),
+    :func:`~repro.vectordb.sharded.reroute` into an empty collection of
+    ``new_shards`` shards, :func:`save_collection`. Works on any snapshot
+    a load accepts, plain ones included; a reload sees identical
+    ``scroll`` order, counts, payload indexes, ``HnswConfig`` and
+    quantize kind (sq8 codebooks are re-fitted per new shard). The
+    result is always the sharded layout (``new_shards`` may be 1) and
+    has no graph files — the old ones describe no new shard; the next
+    load rebuilds them lazily (or run :func:`migrate_snapshot`).
 
-    ``out_dir`` defaults to rewriting ``snapshot_dir`` in place (built in
-    a temporary sibling, swapped in on success). Returns the directory
-    written. Raises :class:`~repro.errors.CollectionError` for a
-    non-positive ``new_shards``, an ``out_dir`` that already exists, a
-    missing snapshot, or a snapshot whose stored order disagrees with
-    its shards' contents.
+    ``out_dir`` defaults to rewriting ``snapshot_dir`` in place, after
+    which the sibling log directory is removed: the new snapshot holds
+    its records, and a later load would replay them under a shard count
+    they were not written for. That is refused while the directory holds
+    orphan logs (see :func:`inspect_snapshot`). With ``out_dir`` the
+    source and its logs are untouched. Returns the directory written;
+    raises :class:`~repro.errors.CollectionError` for a non-positive
+    ``new_shards``, an existing ``out_dir``, or an unloadable snapshot.
     """
     snapshot_dir = Path(snapshot_dir)
     if new_shards <= 0:
         raise CollectionError(
             f"shard count must be positive, got {new_shards}"
         )
-    meta = _read_meta(snapshot_dir)
-    in_place = out_dir is None
-    target = (
-        snapshot_dir.parent / f".{snapshot_dir.name}.reshard-tmp"
-        if in_place else Path(out_dir)
-    )
-    if target.resolve() == snapshot_dir.resolve():
-        in_place, target = True, (
-            snapshot_dir.parent / f".{snapshot_dir.name}.reshard-tmp"
-        )
-    if target.exists():
+    target = snapshot_dir if out_dir is None else Path(out_dir)
+    in_place = target.resolve() == snapshot_dir.resolve()
+    if not in_place and target.exists():
         raise CollectionError(f"reshard target {target} already exists")
-
-    if "shards" in meta:
-        source_dirs = [
-            _shard_dir(snapshot_dir, index) for index in range(meta["shards"])
-        ]
-        order: list[str] = list(meta["order"])
-    else:
-        source_dirs = [snapshot_dir]
-        order = []  # single snapshots carry their order in the rows
-    position = {point_id: rank for rank, point_id in enumerate(order)}
-
-    # One bucket per new shard: (global rank, id, vector row, payload).
-    buckets: list[list[tuple[int, str, np.ndarray, dict]]] = [
-        [] for _ in range(new_shards)
-    ]
-    dim = meta["dim"]
-    for source_dir in source_dirs:
-        vectors, ids, payloads = _read_single_raw(source_dir)
-        for row, (point_id, payload) in enumerate(zip(ids, payloads)):
-            if position:
-                rank = position.get(point_id)
-                if rank is None:
-                    raise CollectionError(
-                        f"point {point_id!r} in {source_dir} missing from "
-                        "the snapshot's global order"
-                    )
-            else:
-                rank = len(order)
-                order.append(point_id)
-            buckets[shard_for(point_id, new_shards)].append(
-                (rank, point_id, vectors[row], payload)
-            )
-    total = sum(len(bucket) for bucket in buckets)
-    if total != len(order) or (position and total != len(position)):
-        raise CollectionError(
-            f"snapshot at {snapshot_dir} holds {total} points but its "
-            f"global order lists {len(order)}"
-        )
-
-    hnsw = meta["hnsw"]
-    indexed = sorted(meta["indexed_payload_fields"])
-
-    target.mkdir(parents=True, exist_ok=False)
+    source = load_collection(snapshot_dir, mmap=True)
+    resharded = ShardedCollection(
+        source.name, source.dim, metric=source.metric,
+        hnsw=source.hnsw_config, shards=new_shards, quantize=source.quantize,
+    )
     try:
-        for index, bucket in enumerate(buckets):
-            bucket.sort(key=lambda entry: entry[0])
-            _write_single_raw(
-                _shard_dir(target, index),
-                name=f"{meta['name']}/shard-{index:02d}",
-                dim=dim,
-                metric=meta["metric"],
-                vectors=(
-                    np.stack([entry[2] for entry in bucket])
-                    if bucket else np.zeros((0, dim), dtype=np.float32)
-                ),
-                ids=[entry[1] for entry in bucket],
-                payloads=[entry[3] for entry in bucket],
-                hnsw=hnsw,
-                indexed=indexed,
+        if in_place and (
+            orphans := _orphan_logs(snapshot_dir, len(_shards_of(source)))
+        ):
+            raise CollectionError(
+                f"not resharding {snapshot_dir} in place: its log directory "
+                f"holds records no shard replays ({orphans}); replay or "
+                "remove those files first, or reshard to an out_dir"
             )
-        top = _meta_dict(
-            name=meta["name"], dim=dim, metric=meta["metric"], count=total,
-            hnsw=hnsw, indexed=indexed,
+        save_collection(
+            reroute(source, resharded), target, include_graphs=False
         )
-        top["shards"] = new_shards
-        top["order"] = order
-        (target / _META_FILE).write_text(json.dumps(top, indent=2))
-    except BaseException:
-        shutil.rmtree(target, ignore_errors=True)
-        raise
+    finally:
+        source.close()
+        resharded.close()
     if in_place:
-        try:
-            _swap_into_place(target, snapshot_dir)
-        except BaseException:
-            shutil.rmtree(target, ignore_errors=True)
-            raise
-        return snapshot_dir
+        shutil.rmtree(wal_directory(snapshot_dir), ignore_errors=True)
     return target
 
 
@@ -730,18 +689,6 @@ def _meta_dict(
     return meta
 
 
-def _base_meta(collection: AnyCollection) -> dict:
-    return _meta_dict(
-        name=collection.name,
-        dim=collection.dim,
-        metric=collection.metric.value,
-        count=len(collection),
-        hnsw=asdict(collection.hnsw_config),
-        indexed=sorted(collection.indexed_payload_fields),
-        quantize=getattr(collection, "quantize", None),
-    )
-
-
 def _sq8_checksum(
     codes: np.ndarray, mins: np.ndarray, steps: np.ndarray
 ) -> int:
@@ -768,114 +715,41 @@ def _save_view(
     here happens outside any lock. ``view.vectors`` is still a zero-copy
     slice of live storage (rows the view covers are immutable), so even
     an mmap-served collection saves without materializing its matrix.
-    """
-    _write_single_raw(
-        directory,
-        name=view.name,
-        dim=view.dim,
-        metric=view.metric.value,
-        vectors=view.vectors,
-        ids=view.ids,
-        payloads=view.payloads,
-        hnsw=asdict(view.hnsw),
-        indexed=list(view.indexed_fields),
-        graph_arrays=view.graph_arrays if include_graphs else None,
-        quantize=view.quantize,
-        codes=view.codes if view.quantize else None,
-        codebook=view.codebook if view.quantize else None,
-    )
-
-
-def _write_single_raw(
-    directory: Path,
-    name: str,
-    dim: int,
-    metric: str,
-    vectors: np.ndarray,
-    ids: list[str],
-    payloads: list[dict],
-    hnsw: dict,
-    indexed: list[str],
-    graph_arrays: dict | None = None,
-    quantize: str | None = None,
-    codes: np.ndarray | None = None,
-    codebook: dict | None = None,
-) -> None:
-    """Write one single-collection snapshot from raw arrays.
-
-    ``graph_arrays`` is the HNSW graph already serialized via
+    ``view.graph_arrays`` is the HNSW graph already serialized via
     :meth:`~repro.vectordb.hnsw.HNSWIndex.to_arrays` — arrays rather
-    than a live index, because save captures the graph under the write
-    lock (a live index could keep growing) and workers only need the
-    arrays anyway. ``codes``/``codebook`` (quantized collections) land
-    in ``codes.npy`` — raw, so loads can mmap it like the vectors — and
-    ``codebook.npz``; their CRC-32 goes into the meta
-    so a load can tell bit rot from a valid-but-different tier.
+    than a live index, which could keep growing after the capture. The
+    quantized tier lands in ``codes.npy`` — raw, so loads can mmap it
+    like the vectors — and ``codebook.npz``; their CRC-32 goes into the
+    meta so a load can tell bit rot from a valid-but-different tier.
     """
     directory.mkdir(parents=True, exist_ok=True)
-    # Raw .npy so loads can memory-map the matrix directly.
-    np.save(
-        directory / _VECTORS_FILE,
-        np.ascontiguousarray(vectors, dtype=np.float32),
-    )
-    if graph_arrays is not None:
-        np.savez(directory / _GRAPH_FILE, **graph_arrays)
+    # Raw .npy so loads can memory-map the matrix directly; a view's
+    # matrix is float32 and its codes uint8 by the indexes' own contracts.
+    np.save(directory / _VECTORS_FILE, view.vectors)
+    if include_graphs and view.graph_arrays is not None:
+        np.savez(directory / _GRAPH_FILE, **view.graph_arrays)
     sq8_checksum = None
-    if quantize and codes is not None and codebook is not None:
-        np.save(
-            directory / _CODES_FILE,
-            np.ascontiguousarray(codes, dtype=np.uint8),
-        )
+    codes, codebook = view.codes, view.codebook
+    if view.quantize and codes is not None and codebook is not None:
+        np.save(directory / _CODES_FILE, codes)
         np.savez(directory / _CODEBOOK_FILE, **codebook)
         sq8_checksum = _sq8_checksum(
             codes, codebook["mins"], codebook["steps"]
         )
     with open(directory / _PAYLOADS_FILE, "w", encoding="utf-8") as fh:
-        for point_id, payload in zip(ids, payloads):
+        for point_id, payload in zip(view.ids, view.payloads):
             fh.write(
                 json.dumps({"id": point_id, "payload": payload},
                            ensure_ascii=False)
                 + "\n"
             )
     meta = _meta_dict(
-        name=name, dim=dim, metric=metric, count=len(ids),
-        hnsw=hnsw, indexed=indexed,
-        quantize=quantize, sq8_checksum=sq8_checksum,
+        name=view.name, dim=view.dim, metric=view.metric.value,
+        count=len(view.ids), hnsw=asdict(view.hnsw),
+        indexed=list(view.indexed_fields),
+        quantize=view.quantize, sq8_checksum=sq8_checksum,
     )
     (directory / _META_FILE).write_text(json.dumps(meta, indent=2))
-
-
-def _read_single_raw(
-    directory: Path,
-    meta: dict | None = None,
-    mmap: bool = False,
-) -> tuple[np.ndarray, list[str], list[dict]]:
-    """Read one single-collection snapshot's raw ``(vectors, ids,
-    payloads)`` without instantiating a collection. Used by the load
-    path (where ``mmap`` may memory-map the matrix) and by the streaming
-    reshard (always eager)."""
-    if meta is None:
-        meta = _read_meta(directory)
-    vectors = np.load(
-        directory / _VECTORS_FILE, mmap_mode="r" if mmap else None
-    )
-    ids: list[str] = []
-    payloads: list[dict] = []
-    with open(directory / _PAYLOADS_FILE, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            ids.append(row["id"])
-            payloads.append(row["payload"])
-    if len(ids) != meta["count"] or vectors.shape[0] != meta["count"]:
-        raise CollectionError(
-            f"snapshot at {directory} is inconsistent: meta says "
-            f"{meta['count']} points, found {len(ids)} payloads / "
-            f"{vectors.shape[0]} vectors"
-        )
-    return vectors, ids, payloads
 
 
 def _read_meta(directory: Path) -> dict:
@@ -1016,15 +890,28 @@ def _attach_quantized_tier(
     collection.attach_sq8(store)
 
 
-def _load_single(
-    directory: Path,
-    hnsw: HnswConfig,
-    meta: dict | None = None,
-    mmap: bool = False,
-) -> Collection:
-    if meta is None:
-        meta = _read_meta(directory)
-    vectors, ids, payloads = _read_single_raw(directory, meta=meta, mmap=mmap)
+def _load_single(directory: Path, hnsw: HnswConfig, mmap: bool) -> Collection:
+    """Read one single-collection snapshot (``mmap`` maps its matrix)."""
+    meta = _read_meta(directory)
+    vectors = np.load(
+        directory / _VECTORS_FILE, mmap_mode="r" if mmap else None
+    )
+    ids: list[str] = []
+    payloads: list[dict] = []
+    with open(directory / _PAYLOADS_FILE, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            row = json.loads(line)
+            ids.append(row["id"])
+            payloads.append(row["payload"])
+    if len(ids) != meta["count"] or vectors.shape[0] != meta["count"]:
+        raise CollectionError(
+            f"snapshot at {directory} is inconsistent: meta says "
+            f"{meta['count']} points, found {len(ids)} payloads / "
+            f"{vectors.shape[0]} vectors"
+        )
     collection = Collection.from_matrix(
         name=meta["name"],
         vectors=vectors,

@@ -737,3 +737,30 @@ def _merge_top_k(
 
 #: Either vector-store backend; the client and pipeline accept both.
 AnyCollection = Union[Collection, ShardedCollection]
+
+
+def reroute(source: AnyCollection, target: AnyCollection) -> AnyCollection:
+    """Copy ``source``'s points and payload indexes into the empty ``target``.
+
+    The one re-router behind ``VectorDBClient.reshard_collection`` and
+    ``persistence.reshard_snapshot``, which differ only in the target
+    they build (from ``source``'s dim, metric, HNSW config and quantize
+    kind). Points are upserted in ``source``'s global insertion order,
+    so ``target`` scrolls identically and routes every id through its
+    own :meth:`ShardedCollection.upsert`. Returns ``target``.
+    """
+    order = (
+        source.point_order if isinstance(source, ShardedCollection)
+        else source.point_ids()
+    )
+    target.upsert(
+        PointStruct(
+            id=point_id,
+            vector=source.point_vector(point_id),
+            payload=source.retrieve(point_id).payload,
+        )
+        for point_id in order
+    )
+    for field in sorted(source.indexed_payload_fields):
+        target.create_payload_index(field)
+    return target

@@ -18,11 +18,13 @@ from repro.vectordb.client import VectorDBClient
 from repro.vectordb.collection import Collection, HnswConfig, PointStruct
 from repro.vectordb.filters import FieldMatch
 from repro.vectordb.persistence import (
+    inspect_snapshot,
     load_collection,
     reshard_snapshot,
     save_collection,
 )
 from repro.vectordb.sharded import ShardedCollection, shard_for
+from repro.vectordb.wal import shard_wal_path, wal_directory
 
 
 def unit_vectors(n: int, dim: int, seed: int = 0) -> np.ndarray:
@@ -150,6 +152,189 @@ class TestSnapshotReshard:
         with pytest.raises(CollectionError):
             reshard_snapshot(tmp_path / "missing", 2)
         original.close()
+
+
+def _tree_bytes(*roots) -> dict[str, bytes]:
+    return {
+        str(path): path.read_bytes()
+        for root in roots for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestReshardIsLoadRerouteSave:
+    """What ``reshard_snapshot`` inherits from being a composition of
+    ``load_collection`` and ``save_collection`` (each failed before)."""
+
+    SAVED, LOGGED = 50, 40
+
+    def _snapshot_with_tail(self, tmp_path, shards: int):
+        """``SAVED`` points in the snapshot, ``LOGGED`` more only in its
+        write-ahead log; returns the path and every point in order."""
+        points = make_points(self.SAVED + self.LOGGED, 8, seed=11)
+        src = tmp_path / "snap"
+        collection = build_sharded(0, 8, shards)
+        collection.upsert(points[:self.SAVED])
+        save_collection(collection, src)
+        collection.close()
+        served = load_collection(src, wal="always")
+        served.upsert(points[self.SAVED:])
+        served.close()
+        return src, points
+
+    @pytest.mark.parametrize("src_shards,dst_shards", [(4, 2), (2, 4)])
+    def test_in_place_folds_in_the_wal_tail(
+        self, tmp_path, src_shards, dst_shards
+    ):
+        src, points = self._snapshot_with_tail(tmp_path, src_shards)
+        assert inspect_snapshot(src)["wal"]["records"] >= self.LOGGED
+        reshard_snapshot(src, dst_shards)
+        info = inspect_snapshot(src)
+        assert info["count"] == len(points)
+        assert info["wal"] is None or info["wal"]["records"] == 0
+        resharded = load_collection(src)
+        assert resharded.n_shards == dst_shards
+        assert len(resharded) == len(points)
+        ids = [h.id for h in resharded.scroll()]
+        assert ids[:self.SAVED] == [p.id for p in points[:self.SAVED]]
+        assert sorted(ids) == sorted(p.id for p in points)
+        assert resharded.indexed_payload_fields == {"city"}
+        resharded.close()
+
+    def test_logged_payload_update_survives_chained_reshards(self, tmp_path):
+        """v1 logged under 4 shards, v2 logged under 2: after 4 → 2 → 4
+        in place the newer one wins, because each publish is followed by
+        removing the logs it covered (left behind, the 4-shard-era log
+        would replay v1 over v2 once its shard index exists again)."""
+        collection = build_sharded(40, 8, 4)
+        src = tmp_path / "snap"
+        save_collection(collection, src)
+        collection.close()
+        point_id = next(
+            p for p in (f"poi-{i}" for i in range(40))
+            if shard_for(p, 4) >= 2
+        )
+        served = load_collection(src, wal="always")
+        served.set_payload(point_id, {"note": "v1"})
+        served.close()
+        reshard_snapshot(src, 2)
+        served = load_collection(src, wal="always")
+        assert served.retrieve(point_id).payload["note"] == "v1"
+        served.set_payload(point_id, {"note": "v2"})
+        served.close()  # no save: v2 lives only in the 2-shard log
+        reshard_snapshot(src, 4)
+        reloaded = load_collection(src)
+        assert reloaded.retrieve(point_id).payload["note"] == "v2"
+        reloaded.close()
+
+    def test_out_dir_leaves_source_and_its_logs_untouched(self, tmp_path):
+        src, points = self._snapshot_with_tail(tmp_path, 4)
+        before = _tree_bytes(src, wal_directory(src))
+        out = reshard_snapshot(src, 2, out_dir=tmp_path / "out")
+        assert _tree_bytes(src, wal_directory(src)) == before
+        resharded = load_collection(out)
+        assert len(resharded) == len(points)
+        assert not wal_directory(out).exists()
+        resharded.close()
+
+    def test_sq8_tier_is_carried(self, tmp_path):
+        """Same demand ``test_reshard_carries_quantize`` makes of the
+        live path: the tier survives, re-fitted per new shard."""
+        original = ShardedCollection("resh", 16, shards=4, quantize="sq8")
+        original.upsert(make_points(90, 16, seed=12))
+        src = tmp_path / "snap"
+        save_collection(original, src)
+        reshard_snapshot(src, 3)
+        info = inspect_snapshot(src)
+        assert info["quantize"] == "sq8" and info["codes_persisted"]
+        resharded = load_collection(src)
+        assert resharded.quantize == "sq8"
+        query = unit_vectors(1, 16, seed=13)[0]
+        want = original.search(query, 10, exact=True)
+        got = resharded.search(query, 10, rescore_factor=90.0)
+        assert [(h.id, h.score) for h in got] == [
+            (h.id, h.score) for h in want
+        ]
+        original.close()
+        resharded.close()
+
+    def test_stale_reshard_tmp_does_not_block(self, tmp_path):
+        """A SIGKILLed in-place reshard of an earlier version left a
+        fixed-name staging sibling that made every later one fail."""
+        original = build_sharded(30, 8, 3)
+        src = tmp_path / "snap"
+        save_collection(original, src)
+        original.close()
+        litter = tmp_path / ".snap.reshard-tmp"
+        litter.mkdir()
+        (litter / "meta.json").write_text("{}")
+        reshard_snapshot(src, 2)
+        assert inspect_snapshot(src)["shards"] == 2
+
+    def test_in_place_refused_while_orphan_logs_hold_records(self, tmp_path):
+        """Resharded up, an orphan ``shard-03.wal`` would silently become
+        shard 3's live log and replay in an order nobody chose."""
+        src, _ = self._snapshot_with_tail(tmp_path, 4)
+        wal_dir = wal_directory(src)
+        stranded = shard_wal_path(wal_dir, 3).read_bytes()
+        reshard_snapshot(src, 2)
+        wal_dir.mkdir()
+        shard_wal_path(wal_dir, 3).write_bytes(stranded)
+        with pytest.warns(RuntimeWarning, match="shard-03.wal"):
+            with pytest.raises(CollectionError, match="shard-03.wal"):
+                reshard_snapshot(src, 4)
+        assert inspect_snapshot(src)["shards"] == 2  # nothing rewritten
+        with pytest.warns(RuntimeWarning, match="shard-03.wal"):
+            out = reshard_snapshot(src, 4, out_dir=tmp_path / "out")
+        assert inspect_snapshot(out)["shards"] == 4
+
+
+class TestOnePathEach:
+    """ISSUE 17's acceptance greps, executable."""
+
+    def test_single_call_sites(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        nodes = [
+            node
+            for path in Path(repro.__file__).parent.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+        ]
+
+        def calls(name: str) -> int:
+            return sum(
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == name
+                for node in nodes
+            )
+
+        assert calls("shard_for") == 1  # ShardedCollection.upsert
+        assert calls("_swap_into_place") == 1  # save_collection
+        assert sum(
+            isinstance(node, ast.ClassDef)
+            and any(
+                getattr(base, "id", None) == "BaseHTTPRequestHandler"
+                for base in node.bases
+            )
+            for node in nodes
+        ) == 1
+        assert sum(
+            isinstance(node, ast.Compare)
+            and getattr(node.left, "value", None) == "shards"
+            and isinstance(node.ops[0], ast.In)
+            for node in nodes
+        ) == 1
+
+    def test_compare_flag_is_gone(self):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["query", "SB", "a; b", "--batch", "--compare"]
+            )
 
 
 class TestClientReshard:

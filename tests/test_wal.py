@@ -454,3 +454,63 @@ class TestInspect:
         save_collection(collection, snap)
         assert inspect_snapshot(snap)["wal"] is None
         collection.close()
+
+
+class TestOrphanLogs:
+    """Logs of a shard index the snapshot does not have (what reshards
+    before the load → re-route → save composition left behind) are never
+    replayed — and never silent."""
+
+    def _snapshot_with_orphans(self, tmp_path):
+        """A 2-shard snapshot whose log directory also holds a 4-shard
+        era's ``shard-02.wal``/``shard-03.wal`` with records, plus an
+        empty ``shard-05.wal``."""
+        wide = ShardedCollection("c", DIM, shards=4)
+        save_collection(wide, tmp_path / "wide")
+        attach_wal(wide, tmp_path / "wide", fsync="always")
+        wide.upsert(_points(24, seed=8))
+        wide.close()
+        snap = tmp_path / "snap"
+        narrow = ShardedCollection("c", DIM, shards=2)
+        narrow.upsert(_points(6))
+        save_collection(narrow, snap)
+        narrow.close()
+        wal_dir = wal_directory(snap)
+        wal_dir.mkdir()
+        counts = {}
+        for index in (2, 3):
+            source = shard_wal_path(wal_directory(tmp_path / "wide"), index)
+            planted = shard_wal_path(wal_dir, index)
+            planted.write_bytes(source.read_bytes())
+            counts[planted.name] = scan(planted)[1]
+        shard_wal_path(wal_dir, 5).write_bytes(MAGIC)
+        assert all(counts.values())
+        return snap, counts
+
+    def test_load_warns_once_naming_each_orphan(self, tmp_path):
+        snap, counts = self._snapshot_with_orphans(tmp_path)
+        with pytest.warns(RuntimeWarning) as caught:
+            loaded = load_collection(snap)
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1
+        assert all(name in messages[0] for name in counts)
+        assert "shard-05.wal" not in messages[0]  # holds no records
+        assert len(loaded) == 6  # no order guessed: nothing applied
+        loaded.close()
+
+    def test_inspect_lists_orphans_with_record_counts(self, tmp_path):
+        snap, counts = self._snapshot_with_orphans(tmp_path)
+        assert inspect_snapshot(snap)["wal"]["orphan_logs"] == counts
+
+    def test_owned_logs_are_not_orphans(self, tmp_path, recwarn):
+        snap = tmp_path / "snap"
+        collection = ShardedCollection("c", DIM, shards=3)
+        save_collection(collection, snap)
+        attach_wal(collection, snap, fsync="always")
+        collection.upsert(_points(12))
+        collection.close()
+        assert inspect_snapshot(snap)["wal"]["orphan_logs"] == {}
+        loaded = load_collection(snap)
+        assert len(loaded) == 12
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+        loaded.close()
