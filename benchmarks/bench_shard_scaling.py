@@ -1,17 +1,15 @@
 """Shard scaling — batched filtered-search throughput vs shard count.
 
-Sharding speeds up filtered search through two independent mechanisms:
-
-1. **Dispatch crossover.** A broad filter over one monolithic collection
-   matches more points than ``BRUTE_FORCE_THRESHOLD``, so every query
-   pays a per-query HNSW graph traversal with a predicate (Python-heavy).
-   Hash-partitioned shards each see only ``matching / N`` candidates —
-   under the threshold — so the whole batch runs as one exact BLAS
-   matrix product per shard. This effect is machine-independent.
-2. **Parallel fan-out.** Per-shard searches run on a thread pool and the
-   exact kernel releases the GIL inside BLAS, so on multi-core machines
-   the per-shard products overlap. (On a single-core CI runner this
-   contributes nothing; the floor below is carried by mechanism 1.)
+Sharding speeds up filtered search through the **dispatch crossover**:
+a broad filter over one monolithic collection matches more points than
+``BRUTE_FORCE_THRESHOLD``, so every query pays a per-query HNSW graph
+traversal with a predicate (Python-heavy). Hash-partitioned shards each
+see only ``matching / N`` candidates — under the threshold — so the
+whole batch runs as one exact BLAS matrix product per shard. This
+effect is machine-independent. The fan-out itself adds nothing: it is a
+loop over the shards on the calling thread (``bench_executors.py``
+measures the executors; a thread pool was never ahead of the loop, even
+on this batch-64 exact scoring).
 
 The corpus is scaled down so the suite stays fast, with the brute-force
 threshold scaled down proportionally — the dispatch crossover is what is

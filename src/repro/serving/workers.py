@@ -1,15 +1,14 @@
 """Process-per-shard execution for sharded collections.
 
-Thread fan-out (the :class:`~repro.vectordb.sharded.ShardedCollection`
-default) parallelizes the BLAS scoring kernel, which releases the GIL —
-but the *Python* half of a filtered search (evaluating the payload filter
-over every candidate, building hit objects) still serializes on one
-interpreter. :class:`ProcessShardExecutor` removes that ceiling: it keeps
-one **long-lived worker process per shard**, each holding a replica of
-its shard, and routes fan-out reads to the workers over pipes. Filter
-evaluation then runs in N interpreters at once, so filtered throughput
-scales with shard count instead of plateauing at one core's worth of
-Python.
+In-process fan-out (the :class:`~repro.vectordb.sharded.ShardedCollection`
+default) calls each shard in turn on the caller's thread: per-shard
+searches are Python-bound (payload filter scans, graph traversal, hit
+objects), so one interpreter runs one of them at a time however many
+callers there are. :class:`ProcessShardExecutor` removes that ceiling:
+it keeps one **long-lived worker process per shard**, each holding a
+replica of its shard, and routes fan-out reads to the workers over
+pipes, so searches from concurrent callers run in N interpreters at
+once (``benchmarks/bench_executors.py`` measures both executors).
 
 The tradeoffs, so operators can choose deliberately
 (``repro serve --shard-workers process``, or
@@ -18,9 +17,9 @@ The tradeoffs, so operators can choose deliberately
 * **Memory** — every shard is replicated into its worker (vectors,
   payloads, graph). Roughly doubles resident size.
 * **IPC cost** — queries and hit lists are pickled across pipes. For
-  small, cheap searches the round-trip can exceed the search itself;
-  process workers pay off when per-shard work (filter evaluation over
-  many payloads, large batches) dominates.
+  a lone caller the round-trip exceeds what the workers save (the
+  in-process loop is faster there); process workers pay off under
+  concurrent callers.
 * **Writes** — the parent's shards stay authoritative; writes are applied
   locally and mirrored synchronously to the owning worker, so replicas
   answer identically. Write throughput therefore pays one extra pickle
@@ -78,7 +77,7 @@ def _shard_worker_main(conn, shard: Collection) -> None:
 class ProcessShardExecutor:
     """One long-lived worker process per shard, speaking over pipes.
 
-    Drop-in for :class:`~repro.vectordb.sharded.ThreadShardExecutor`
+    Drop-in for :class:`~repro.vectordb.sharded.InProcessShardExecutor`
     behind the ``ShardedCollection`` executor seam. Each worker receives
     a pickled replica of its shard at startup (graphs included — built
     HNSW indexes pickle); reads fan out by sending the method call to
@@ -88,7 +87,7 @@ class ProcessShardExecutor:
 
     Raises ``OSError`` (or the platform's process-start failure) from the
     constructor when worker processes cannot be spawned; callers treat
-    that as "process mode unavailable" and stay on threads.
+    that as "process mode unavailable" and stay in-process.
     """
 
     kind = "process"

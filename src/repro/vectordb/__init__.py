@@ -4,8 +4,8 @@ Two interchangeable backends share one surface: :class:`Collection` (a
 single vector space with flat + HNSW indexes and payload secondary
 indexes) and :class:`ShardedCollection` (N hash-partitioned ``Collection``
 shards — points route by CRC-32 of their id via
-:func:`~repro.vectordb.sharded.shard_for`, searches fan out per shard on a
-thread pool and merge into the exact global top-k, filters evaluate per
+:func:`~repro.vectordb.sharded.shard_for`, searches visit each shard in
+turn and merge into the exact global top-k, filters evaluate per
 shard). :class:`VectorDBClient` fronts both (``create_collection(shards=N)``),
 and :func:`save_collection` / :func:`load_collection` snapshot both — one
 directory per plain collection, one sub-directory per shard (one

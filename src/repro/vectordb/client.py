@@ -31,10 +31,9 @@ class VectorDBClient:
     """Manages named collections, in the style of a Qdrant client.
 
     Owns its collections' lifecycle: dropping a collection (or exiting
-    the client's ``with`` block) closes it, releasing sharded
-    collections' fan-out workers — threads, or per-shard worker
-    *processes* under ``parallel="process"`` — instead of leaking them
-    until garbage collection.
+    the client's ``with`` block) closes it, flushing shard WALs and
+    releasing the per-shard worker processes of ``parallel="process"``
+    instead of leaking them until garbage collection.
     """
 
     def __init__(self) -> None:
@@ -128,8 +127,8 @@ class VectorDBClient:
     def delete_collection(self, name: str) -> None:
         """Drop a collection and close it (missing name raises).
 
-        Closing matters for sharded collections, whose fan-out thread
-        pools would otherwise outlive the drop in long-lived processes.
+        Closing matters for attached WALs and for ``parallel="process"``
+        workers, which would otherwise outlive the drop.
         """
         collection = self._collections.pop(name, None)
         if collection is None:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -470,12 +470,17 @@ class Collection:
 
     def scroll(self, flt: Filter | None = None) -> list[SearchHit]:
         """All points (optionally filtered), in insertion order."""
-        hits = []
-        for node, point_id in enumerate(self._ids):
-            payload = self._payloads[node]
-            if flt is None or flt.matches(payload):
-                hits.append(SearchHit(id=point_id, score=1.0, payload=dict(payload)))
-        return hits
+        nodes = (
+            range(len(self._ids)) if flt is None
+            else self._matching_nodes(flt).tolist()
+        )
+        return [
+            SearchHit(
+                id=self._ids[node], score=1.0,
+                payload=dict(self._payloads[node]),
+            )
+            for node in nodes
+        ]
 
     def count(self, flt: Filter | None = None) -> int:
         """Number of points matching ``flt`` (all points when None).
@@ -622,7 +627,7 @@ class Collection:
         query: np.ndarray,
         params: SearchParams,
         matching: np.ndarray | None = None,
-        match_set: set[int] | None = None,
+        predicate: Callable[[int], bool] | None = None,
     ) -> list[tuple[int, float]]:
         """Quantized traversal + exact rescore (the sq8 read path).
 
@@ -648,9 +653,6 @@ class Collection:
         graph = self.build_hnsw()
         matrix_like, w = store.traversal_query(query, self._metric)
         view = graph.traversal_view(matrix_like)
-        predicate = (
-            (lambda n: n in match_set) if match_set is not None else None
-        )
         found = view.search(
             w, m_cand, ef=params.ef or self._hnsw_config.ef_search,
             predicate=predicate,
@@ -737,20 +739,24 @@ class Collection:
                 deadline.check("scoring")
             if exact or matching.size <= self.BRUTE_FORCE_THRESHOLD:
                 raw_lists = self._flat.search_batch(queries, k, subset=matching)
-            elif quantized:
-                match_set = set(matching.tolist())
-                raw_lists = [
-                    self._sq8_graph_search(
-                        query, params, matching=matching, match_set=match_set
-                    )
-                    for query in queries
-                ]
             else:
-                match_set = set(matching.tolist())
-                index = self.build_hnsw()
-                raw_lists = index.search_batch(
-                    queries, k, ef=ef, predicate=lambda n: n in match_set
-                )
+                mask = np.zeros(len(self._ids), dtype=bool)
+                mask[matching] = True
+
+                def passes(node: int) -> bool:
+                    # a node a concurrent upsert appended after the
+                    # filter ran lies past the mask: it does not match
+                    return node < mask.size and mask[node]
+
+                if quantized:
+                    raw_lists = [
+                        self._sq8_graph_search(query, params, matching, passes)
+                        for query in queries
+                    ]
+                else:
+                    raw_lists = self.build_hnsw().search_batch(
+                        queries, k, ef=ef, predicate=passes
+                    )
         elif exact:
             raw_lists = self._flat.search_batch(queries, k)
         elif quantized:

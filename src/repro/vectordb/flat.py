@@ -15,8 +15,6 @@ upserts keep working and never touch the snapshot file.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from repro.vectordb.contracts import array_contract
@@ -179,7 +177,6 @@ class FlatIndex:
         self,
         query: np.ndarray,
         k: int,
-        predicate: Callable[[int], bool] | None = None,
         subset: np.ndarray | None = None,
     ) -> list[tuple[int, float]]:
         """Exact top-``k`` as ``(node_id, similarity)`` descending.
@@ -202,14 +199,6 @@ class FlatIndex:
             ids = np.arange(self._count, dtype=np.int64)
             sims = similarity(query, self._vectors[: self._count], self._metric)
 
-        if predicate is not None:
-            keep = np.fromiter(
-                (predicate(int(i)) for i in ids), dtype=bool, count=ids.size
-            )
-            ids, sims = ids[keep], sims[keep]
-            if ids.size == 0:
-                return []
-
         top = min(k, ids.size)
         order = np.argpartition(-sims, top - 1)[:top]
         order = order[np.argsort(-sims[order])]
@@ -220,13 +209,12 @@ class FlatIndex:
         self,
         queries: np.ndarray,
         k: int,
-        predicate: Callable[[int], bool] | None = None,
         subset: np.ndarray | None = None,
     ) -> list[list[tuple[int, float]]]:
         """Exact top-``k`` for each row of ``queries``.
 
         One ``(q, n)`` similarity matrix is computed for the whole batch,
-        and ``predicate``/``subset`` are evaluated once and shared across
+        and ``subset`` is resolved once and shared across
         all queries. Per-query results match :meth:`search` (same candidate
         sets, same ordering up to floating-point ties).
         """
@@ -247,15 +235,10 @@ class FlatIndex:
             ids = np.asarray(subset, dtype=np.int64)
         else:
             ids = np.arange(self._count, dtype=np.int64)
-        if predicate is not None:
-            keep = np.fromiter(
-                (predicate(int(i)) for i in ids), dtype=bool, count=ids.size
-            )
-            ids = ids[keep]
         if ids.size == 0:
             return [[] for _ in range(n_queries)]
 
-        if subset is None and predicate is None:
+        if subset is None:
             # Score the stored rows in place: a fancy-index gather would
             # copy the whole (possibly mmap-ed) matrix onto the heap.
             matrix = self._vectors[: self._count]

@@ -9,24 +9,25 @@ the filtering stage, the client facade, and persistence all work unchanged
 over either backend.
 
 Searches fan out across shards through a pluggable *executor*. The
-default (``parallel="thread"``) runs per-shard calls on a thread pool —
-the exact-scoring kernel is a BLAS matrix product, which releases the
-GIL — and the per-shard top-k lists are merged into the exact global
-top-k. ``parallel="process"`` (or :meth:`ShardedCollection.set_parallel`)
-swaps in :class:`repro.serving.workers.ProcessShardExecutor`, which keeps
-one long-lived worker process per shard so the *Python-bound* parts of a
-filtered search (payload filter evaluation) scale with shard count too;
-writes are applied locally and mirrored to the workers so both copies
-stay identical. Offline index builds fan
-out too, but on a *process* pool: :meth:`ShardedCollection.build_hnsw`
-builds each shard's HNSW graph in a worker process (graph construction
-is Python-heavy, so threads would serialize on the GIL) and attaches the
-pickled results — data preparation calls it eagerly so queries never pay
-for lazy graph construction. Filters are evaluated per
-shard, against that shard's payloads and payload indexes only — which also
-keeps each shard's filtered candidate set small enough for the exact
-brute-force path where a monolithic collection would spill past
-``BRUTE_FORCE_THRESHOLD`` into graph traversal.
+default (``parallel="thread"``: in this process, on the calling thread)
+calls each shard in turn — measured, four Python-bound shard calls on
+four threads only convoy on the GIL — and the per-shard top-k lists are
+merged into the exact global top-k. ``parallel="process"`` (or
+:meth:`ShardedCollection.set_parallel`) swaps in
+:class:`repro.serving.workers.ProcessShardExecutor`, which keeps one
+long-lived worker process per shard so searches from *concurrent
+callers* overlap across interpreters; writes are applied locally and
+mirrored to the workers so both copies stay identical. Offline index
+builds fan out too, but on a *process* pool:
+:meth:`ShardedCollection.build_hnsw` builds each shard's HNSW graph in
+a worker process (graph construction is Python-heavy, so threads would
+serialize on the GIL) and attaches the pickled results — data
+preparation calls it eagerly so queries never pay for lazy graph
+construction. Filters are evaluated per shard, against that shard's
+payloads and payload indexes only — which also keeps each shard's
+filtered candidate set small enough for the exact brute-force path where
+a monolithic collection would spill past ``BRUTE_FORCE_THRESHOLD`` into
+graph traversal.
 
 Equivalence contract: on the exact-scoring paths (``exact=True``, or any
 filtered search whose per-shard candidate sets stay under the brute-force
@@ -52,7 +53,7 @@ import warnings
 import zlib
 from collections.abc import Iterable, Sequence
 from itertools import chain
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Union
 
 import numpy as np
@@ -77,11 +78,10 @@ def _build_pool_context():
 
     ``fork`` is the cheap path (no re-import in the workers) but is only
     safe while the process is single-threaded — forking with live
-    threads (e.g. a sharded collection's fan-out pool after a search)
-    can clone a held lock into the child and deadlock it. The eager
-    prepare-time build runs before any search threads exist, so it gets
-    ``fork``; otherwise fall back to ``forkserver``/``spawn``, whose
-    workers start clean.
+    threads (e.g. a server's handler threads) can clone a held lock
+    into the child and deadlock it. The eager prepare-time build runs
+    single-threaded, so it gets ``fork``; otherwise fall back to
+    ``forkserver``/``spawn``, whose workers start clean.
     """
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods and threading.active_count() == 1:
@@ -106,57 +106,44 @@ def _build_shard_graph(
     )
 
 
-class ThreadShardExecutor:
-    """Default fan-out executor: per-shard calls on an in-process thread pool.
+class InProcessShardExecutor:
+    """Default fan-out executor: each shard in turn, on the caller's thread.
 
     The executor seam: :class:`ShardedCollection` routes every fan-out
     read through :meth:`run` and every write through :meth:`mirror_write`,
     so alternative executors (e.g. the process-per-shard
     :class:`repro.serving.workers.ProcessShardExecutor`) can swap in
-    without the collection knowing how calls reach its shards. Threads
-    suit BLAS-bound scoring (the kernel releases the GIL); they do not
-    help pure-Python filter evaluation, which is what the process
-    executor exists for.
+    without the collection knowing how calls reach its shards. A loop,
+    not a thread pool: per-shard searches are Python-bound, so threads
+    only queue on the GIL (``benchmarks/bench_executors.py``); overlap
+    across concurrent callers is what the process executor exists for.
     """
 
     kind = "thread"
 
-    def __init__(self, shards: Sequence[Collection], name: str) -> None:
+    def __init__(self, shards: Sequence[Collection]) -> None:
         self._shards = list(shards)
-        # Created eagerly so concurrent first searches cannot race on it;
-        # worker threads only spawn when the first fan-out runs.
-        self._pool = ThreadPoolExecutor(
-            max_workers=len(self._shards),
-            thread_name_prefix=f"shard-{name}",
-        )
 
     def run(
         self, indices: Sequence[int], method: str, *args: Any, **kwargs: Any
     ) -> list[Any]:
         """Call ``method(*args, **kwargs)`` on each indexed shard.
 
-        Returns results in ``indices`` order; a single-shard call skips
-        the pool entirely (serial is cheaper than a dispatch round-trip).
-        Exceptions from any shard propagate to the caller.
+        Returns results in ``indices`` order. Exceptions from any shard
+        propagate to the caller, and later shards are not called.
         """
-        if len(indices) == 1:
-            shard = self._shards[indices[0]]
-            return [getattr(shard, method)(*args, **kwargs)]
-        return list(
-            self._pool.map(
-                lambda i: getattr(self._shards[i], method)(*args, **kwargs),
-                indices,
-            )
-        )
+        return [
+            getattr(self._shards[i], method)(*args, **kwargs)
+            for i in indices
+        ]
 
     def mirror_write(
         self, index: int, method: str, *args: Any, **kwargs: Any
     ) -> None:
-        """No-op: in-process threads read the parent's shards directly."""
+        """No-op: reads go to the parent's shards directly."""
 
     def close(self, wait: bool = False) -> None:
-        """Shut the thread pool down (idempotent)."""
-        self._pool.shutdown(wait=wait)
+        """No-op: nothing to release."""
 
 
 def shard_for(point_id: str, n_shards: int) -> int:
@@ -230,9 +217,9 @@ class ShardedCollection:
         """Pickle without the lock or the fan-out executor.
 
         A pickled sharded collection (snapshot fixtures, potential worker
-        replicas) must not carry a live lock or a pool of threads/worker
+        replicas) must not carry a live lock or a pool of worker
         processes; the unpickled copy gets a fresh lock and the default
-        in-process thread executor.
+        in-process executor.
         """
         state = self.__dict__.copy()
         state["_write_lock"] = None
@@ -246,7 +233,7 @@ class ShardedCollection:
 
     def _make_executor(self, kind: str):
         if kind == "thread":
-            return ThreadShardExecutor(self._shards, self.name)
+            return InProcessShardExecutor(self._shards)
         if kind == "process":
             # Imported lazily: the serving layer depends on vectordb, not
             # the other way around, and the process executor is opt-in.
@@ -295,12 +282,11 @@ class ShardedCollection:
         ``"process"`` installs
         :class:`repro.serving.workers.ProcessShardExecutor`: one
         long-lived worker process per shard, each holding a replica of
-        its shard, so the GIL-bound Python parts of a filtered search
-        (payload filter evaluation) run truly in parallel. Writes after
-        the swap are applied to the parent's shards *and* mirrored to the
-        workers, so reads stay equivalent. Switching back to
-        ``"thread"`` discards the workers; the parent's shards were kept
-        authoritative throughout, so no state is lost.
+        its shard, so searches from concurrent callers stop queueing on
+        one GIL. Writes after the swap are applied to the parent's
+        shards *and* mirrored to the workers, so reads stay equivalent.
+        Switching back to ``"thread"`` discards the workers; the parent's
+        shards were kept authoritative throughout, so no state is lost.
 
         Raises :class:`~repro.errors.CollectionError` for unknown kinds,
         and ``OSError`` if worker processes cannot be started (e.g. a
@@ -312,9 +298,9 @@ class ShardedCollection:
                 return
             replacement = self._make_executor(kind)
             old, self._executor = self._executor, replacement
-        # The old executor's close() joins worker threads/processes;
-        # do that outside the lock so in-flight writes are not stalled
-        # behind the teardown.
+        # The old executor's close() joins worker processes; do that
+        # outside the lock so in-flight writes are not stalled behind
+        # the teardown.
         old.close()
 
     @property
@@ -497,14 +483,15 @@ class ShardedCollection:
     def close(self, wait: bool = False) -> None:
         """Release the fan-out executor and shard WALs (idempotent).
 
-        The data stays readable through the parent's shards, but
-        multi-shard searches are no longer possible after closing;
-        long-lived processes that drop a sharded collection must close it
+        Under the default executor every read still answers from the
+        parent's shards afterwards; under ``parallel="process"`` the
+        closed executor refuses reads, and long-lived processes that
+        drop a sharded collection must close it
         (``VectorDBClient.delete_collection`` and the client's
-        context-manager exit do) rather than wait for GC to reap worker
-        threads — or, under ``parallel="process"``, worker *processes*.
-        ``wait=True`` blocks until the workers have exited. Any
-        write-ahead logs attached to the shards are flushed and closed.
+        context-manager exit do) rather than wait for GC to reap the
+        worker processes. ``wait=True`` blocks until the workers have
+        exited. Any write-ahead logs attached to the shards are flushed
+        and closed.
         """
         self._executor.close(wait=wait)
         for shard in self._shards:
@@ -600,7 +587,8 @@ class ShardedCollection:
         ``deadline`` raises :class:`~repro.errors.DeadlineExceeded`
         *before* the fan-out is dispatched — no shard sees over-budget
         work — and is forwarded to every shard for their own
-        choke-point checks.
+        choke-point checks, so in-process a budget spent by one shard
+        stops the loop before the next.
         A batch of one: ``search_batch(vector[None], ...)[0]``.
         """
         query = np.asarray(vector, dtype=np.float32)
@@ -620,9 +608,9 @@ class ShardedCollection:
     ) -> list[list[SearchHit]]:
         """The fan-out read path: one dispatch, per-query exact merges.
 
-        Every shard receives the same :class:`SearchParams` value (over
-        the thread pool or the worker pipe) and the same ``deadline``,
-        which follows the :meth:`search` contract.
+        Every shard receives the same :class:`SearchParams` value (by
+        call or over the worker pipe) and the same ``deadline``, which
+        follows the :meth:`search` contract.
         """
         params = SearchParams.of(k, knobs)
         if deadline is not None:
@@ -705,13 +693,7 @@ class ShardedCollection:
         return self._shards[index]
 
     def _fan_out(self, method: str, *args: Any, **kwargs: Any) -> list[Any]:
-        """Run ``method`` over every non-empty shard via the executor.
-
-        Under the thread executor, BLAS scoring releases the GIL, so
-        shard searches overlap on multi-core machines; under the process
-        executor, the pure-Python parts (filter evaluation over payloads)
-        overlap too because each shard runs in its own interpreter.
-        """
+        """Run ``method`` over every non-empty shard via the executor."""
         live = [i for i, shard in enumerate(self._shards) if len(shard)]
         if not live:
             return []

@@ -87,9 +87,9 @@ def _live_nondaemon_threads() -> set[threading.Thread]:
 def _thread_and_process_leak_guard():
     """Fail the session if tests leak non-daemon threads or child processes.
 
-    Executors (`ThreadShardExecutor` pools are non-daemon threads,
-    `ProcessShardExecutor` workers are child processes) must be closed by
-    the tests that open them; a leak here means some test forgot, and
+    Executors (`ProcessShardExecutor` workers are child processes, its
+    reply pool non-daemon threads) must be closed by the tests that
+    open them; a leak here means some test forgot, and
     every later test pays for it (fork-safety of build pools, slow
     interpreter shutdown, orphaned workers).
     """

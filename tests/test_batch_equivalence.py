@@ -143,13 +143,14 @@ class TestFlatSearchBatch:
         for v in vecs:
             flat.add(v)
         queries = unit_vectors(8, dim, seed + 200)
-        subset = np.arange(0, 200, 3, dtype=np.int64)
-        def pred(n):
-            return n % 2 == 0
-        batch = flat.search_batch(queries, k, predicate=pred, subset=subset)
+        # every third node that is also even: the old predicate's
+        # restriction, folded into the subset
+        subset = np.arange(0, 200, 6, dtype=np.int64)
+        batch = flat.search_batch(queries, k, subset=subset)
         for row, q in zip(batch, queries):
-            single = flat.search(q, k, predicate=pred, subset=subset)
+            single = flat.search(q, k, subset=subset)
             assert [node for node, _ in row] == [node for node, _ in single]
+            assert {node for node, _ in row} <= set(subset.tolist())
 
 
 def test_flat_search_batch_euclidean_near_duplicates():
@@ -248,6 +249,28 @@ class TestCollectionSearchBatch:
         batch = collection.search_batch(queries, k, flt=flt)
         for hits, q in zip(batch, queries):
             assert_hits_equivalent(hits, oracle.exact(q, k, flt))
+
+
+def test_filtered_graph_search_ignores_points_upserted_mid_search(monkeypatch):
+    """A point that lands between filter evaluation and traversal is in
+    the graph but not in the filter's answer: skipped, not an error."""
+    collection = build_collection(0, 8)
+    collection.BRUTE_FORCE_THRESHOLD = 0
+    collection.build_hnsw()
+    query = unit_vectors(1, 8, 0)[0]  # p0's own vector
+    flt = FieldRange("stars", gte=0.0)
+    expected = [h.id for h in collection.search(query, 3, flt=flt)]
+    real_build = Collection.build_hnsw
+
+    def upsert_then_build(self, force=False):
+        monkeypatch.setattr(Collection, "build_hnsw", real_build)
+        self.upsert(
+            [PointStruct(id="late", vector=query, payload=point_payload(0))]
+        )
+        return real_build(self, force)
+
+    monkeypatch.setattr(Collection, "build_hnsw", upsert_then_build)
+    assert [h.id for h in collection.search(query, 3, flt=flt)] == expected
 
 
 def _outcome(call):

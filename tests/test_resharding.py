@@ -1,14 +1,15 @@
 """Resharding equivalence: snapshots and live collections re-routed to a
 different shard count must be indistinguishable to every read path.
 
-Also holds the resource-lifecycle regressions: dropping (or exiting) a
-client must not leak sharded fan-out worker threads.
+Also holds the resource-lifecycle regressions: searching starts no
+threads, and dropping (or exiting) a client closes shard WALs and
+process workers.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.vectordb.client import VectorDBClient
 from repro.vectordb.collection import Collection, HnswConfig, PointStruct
 from repro.vectordb.filters import FieldMatch
 from repro.vectordb.persistence import (
+    attach_wal,
     inspect_snapshot,
     load_collection,
     reshard_snapshot,
@@ -369,42 +371,54 @@ class TestClientReshard:
             assert new.hnsw_is_built
 
 
-def _shard_worker_threads(name: str) -> list[threading.Thread]:
-    prefix = f"shard-{name}"
-    return [
-        thread for thread in threading.enumerate()
-        if thread.name.startswith(prefix)
+def _durable_process_collection(client, name, tmp_path, shards=4):
+    """A sharded collection holding both things ``close()`` must release:
+    an attached WAL per shard and (where the sandbox allows) one worker
+    process per shard. Returns the WALs."""
+    collection = client.create_collection(name, dim=8, shards=shards)
+    collection.upsert(make_points(40, 8, seed=9))
+    attach_wal(collection, tmp_path / name)
+    try:
+        collection.set_parallel("process")
+    except OSError:  # pragma: no cover - sandbox without subprocesses
+        pass
+    return [shard.wal for shard in collection.shard_collections]
+
+
+def _assert_released(name, wals):
+    assert wals and all(wal is not None for wal in wals)
+    for wal in wals:
+        with pytest.raises(CollectionError, match="closed"):
+            wal.append_create_index("city")
+    assert not [
+        proc.name for proc in multiprocessing.active_children()
+        if proc.name.startswith(f"shard-worker-{name}-")
     ]
 
 
-def _assert_workers_exit(name: str, timeout_s: float = 5.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if not _shard_worker_threads(name):
-            return
-        time.sleep(0.05)
-    raise AssertionError(
-        f"worker threads still alive: {_shard_worker_threads(name)}"
-    )
-
-
 class TestWorkerLifecycle:
-    def test_delete_collection_releases_worker_threads(self):
-        client = VectorDBClient()
-        collection = client.create_collection("leaky", dim=8, shards=4)
-        collection.upsert(make_points(40, 8, seed=9))
-        collection.search(unit_vectors(1, 8)[0], 3)  # spin up the pool
-        assert _shard_worker_threads("leaky")
-        client.delete_collection("leaky")
-        _assert_workers_exit("leaky")
-
-    def test_client_context_manager_closes_collections(self):
+    def test_search_starts_no_threads(self):
         with VectorDBClient() as client:
-            collection = client.create_collection("scoped", dim=8, shards=3)
-            collection.upsert(make_points(30, 8, seed=10))
-            collection.search(unit_vectors(1, 8)[0], 3)
-            assert _shard_worker_threads("scoped")
-        _assert_workers_exit("scoped")
+            collection = client.create_collection("quiet", dim=8, shards=4)
+            collection.upsert(make_points(40, 8, seed=9))
+            before = set(threading.enumerate())
+            query = unit_vectors(1, 8)[0]
+            assert len(collection.search(query, 3)) == 3
+            assert collection.search(query, 3, flt=FieldMatch("city", "c1"))
+            assert set(threading.enumerate()) == before
+
+    def test_delete_collection_closes_wals_and_workers(self, tmp_path):
+        client = VectorDBClient()
+        wals = _durable_process_collection(client, "leaky", tmp_path)
+        client.delete_collection("leaky")
+        _assert_released("leaky", wals)
+
+    def test_client_context_manager_closes_collections(self, tmp_path):
+        with VectorDBClient() as client:
+            wals = _durable_process_collection(
+                client, "scoped", tmp_path, shards=3
+            )
+        _assert_released("scoped", wals)
         assert client.list_collections() == []
 
     def test_close_is_idempotent(self):

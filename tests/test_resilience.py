@@ -52,7 +52,7 @@ from repro.serving.router import (
 )
 from repro.testing import ChaosProxy, chaos
 from repro.vectordb.client import VectorDBClient
-from repro.vectordb.collection import PointStruct
+from repro.vectordb.collection import Collection, PointStruct
 from repro.vectordb.deadline import Deadline
 
 # Run every test here under the runtime lock-order auditor.
@@ -180,6 +180,50 @@ class TestDeadline:
             assert dispatched == []  # refused before any shard saw work
             collection.search(vec, 3, deadline=Deadline.after(30))
             assert dispatched == ["search_batch"]
+
+
+def _slow_first_shard(monkeypatch, sleep_s: float) -> list[str]:
+    """Make the first shard search of the fan-out outlive ``sleep_s``;
+    returns the (live) list of shard names whose search ran to the end."""
+    finished: list[str] = []
+    real_search_batch = Collection.search_batch
+
+    def spy(self, *args, **kwargs):
+        hits = real_search_batch(self, *args, **kwargs)
+        if not finished:
+            time.sleep(sleep_s)
+        finished.append(self.name)
+        return hits
+
+    monkeypatch.setattr(Collection, "search_batch", spy)
+    return finished
+
+
+class TestDeadlineBetweenShards:
+    """A budget the first shard spends stops the loop before the second:
+    the remaining shards are never scored."""
+
+    def test_engine_raises_and_skips_remaining_shards(self, monkeypatch):
+        with VectorDBClient() as client:
+            collection = client.create_collection("pts", dim=DIM, shards=4)
+            collection.upsert(_points(_vectors(120)))
+            finished = _slow_first_shard(monkeypatch, 0.2)
+            with pytest.raises(DeadlineExceeded, match="search_batch"):
+                collection.search(
+                    _vectors(1, seed=8)[0], 3, deadline=Deadline.after(0.1)
+                )
+            assert finished == ["pts/shard-00"]
+
+    def test_http_answers_504(self, monkeypatch):
+        with _serving_server() as server:
+            finished = _slow_first_shard(monkeypatch, 0.2)
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                _http(server.url, "/search",
+                      _search_body(_vectors(1, seed=8)[0]),
+                      headers={"X-Repro-Deadline-Ms": "100"})
+            assert caught.value.code == 504
+            caught.value.read()
+            assert finished == ["pts/shard-00"]
 
 
 class TestHttpDeadline:

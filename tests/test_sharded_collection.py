@@ -20,7 +20,11 @@ from repro.errors import CollectionError, DimensionMismatch, PointNotFound
 from repro.vectordb.client import VectorDBClient
 from repro.vectordb.collection import Collection, HnswConfig, PointStruct
 from repro.vectordb.filters import And, FieldMatch, FieldRange
-from repro.vectordb.persistence import load_collection, save_collection
+from repro.vectordb.persistence import (
+    attach_wal,
+    load_collection,
+    save_collection,
+)
 from repro.vectordb.sharded import ShardedCollection, shard_for
 
 CASES = [(0, 8, 1, 2), (1, 16, 5, 3), (2, 32, 10, 4), (3, 48, 3, 7)]
@@ -294,11 +298,36 @@ class TestWrites:
 
     def test_close_releases_pool_idempotently(self):
         _, sharded = build_pair(4, 8, 3, n=60)
-        sharded.search(unit_vectors(1, 8, 0)[0], 3, exact=True)  # spin up
+        sharded.search(unit_vectors(1, 8, 0)[0], 3, exact=True)
         sharded.close()
         sharded.close()  # idempotent
-        # single-shard reads still work; fan-out is gone by design
         assert sharded.retrieve("p0").id == "p0"
+
+    def test_closed_collection_still_answers_every_read(self, tmp_path):
+        """Default executor: close() releases the shard WALs and nothing
+        a read needs, so no read path works only by accident."""
+        plain, sharded = build_pair(4, 8, 4, n=60)
+        attach_wal(sharded, tmp_path / "snap")
+        wals = [shard.wal for shard in sharded.shard_collections]
+        sharded.close()
+        for wal in wals:
+            with pytest.raises(CollectionError, match="closed"):
+                wal.append_create_index("city")
+        assert sharded.wal_stats() is None
+        queries = unit_vectors(3, 8, 5)
+        flt = FieldMatch("city", "city1")
+        assert_hits_equivalent(
+            sharded.search(queries[0], 5, exact=True),
+            plain.search(queries[0], 5, exact=True),
+        )
+        for got, want in zip(
+            sharded.search_batch(queries, 4, flt=flt),
+            plain.search_batch(queries, 4, flt=flt),
+        ):
+            assert_hits_equivalent(got, want)
+        assert sharded.count(flt) == plain.count(flt) == 20
+        assert sharded.scroll(flt) == plain.scroll(flt)
+        assert sharded.retrieve("p0") == plain.retrieve("p0")
 
     def test_partial_failure_keeps_routing_consistent(self):
         """A batch that raises mid-way (like Collection.upsert) leaves the

@@ -26,6 +26,7 @@ from repro.vectordb.client import VectorDBClient
 from repro.vectordb.collection import Collection, HnswConfig, PointStruct
 from repro.vectordb.filters import FieldMatch
 from repro.vectordb.persistence import (
+    attach_wal,
     inspect_snapshot,
     load_collection,
     migrate_snapshot,
@@ -471,10 +472,15 @@ class TestClientPlumbing:
             collection = client.create_collection("snap", dim=DIM, shards=2)
             collection.upsert(_points(_vectors(60)))
             client.save("snap", tmp_path / "snap")
+            attach_wal(collection, tmp_path / "snap")
+            wals = [shard.wal for shard in collection.shard_collections]
             reloaded = client.load(tmp_path / "snap")
             assert client.get_collection("snap") is reloaded
-            # the replaced backend's fan-out pool was shut down
-            assert collection._executor._pool._shutdown
+            # the replaced backend was closed: its shard WALs refuse writes
+            assert collection.wal_stats() is None
+            for wal in wals:
+                with pytest.raises(CollectionError, match="closed"):
+                    wal.append_create_index("group")
 
 
 class TestCli:

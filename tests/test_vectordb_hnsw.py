@@ -181,8 +181,8 @@ class TestFlatIndex:
         flat = FlatIndex(8)
         for v in vecs:
             flat.add(v)
-        results = flat.search(vecs[0], 40, predicate=lambda i: i < 5)
-        assert {i for i, _ in results} <= set(range(5))
+        results = flat.search(vecs[0], 40, subset=np.arange(5))
+        assert {i for i, _ in results} == set(range(5))
 
     def test_k_larger_than_population(self):
         flat = FlatIndex(8)

@@ -95,9 +95,13 @@ class TestCollectionIntegration:
         query = unit(3)
         flt = FieldMatch("city", "SL")
         before = [h.id for h in collection.search(query, k=10, flt=flt)]
+        scrolled = collection.scroll(flt)
+        assert [h.id for h in scrolled] == [f"p{i}" for i in range(1, 30, 2)]
         collection.create_payload_index("city")
         after = [h.id for h in collection.search(query, k=10, flt=flt)]
         assert before == after
+        # scroll resolves through the index too: same hits, insertion order
+        assert collection.scroll(flt) == scrolled
         assert "city" in collection.indexed_payload_fields
 
     def test_index_backfills_existing_points(self, collection):
