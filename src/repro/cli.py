@@ -120,16 +120,13 @@ def _run_query_batch(args: argparse.Namespace, corpus, system, center) -> int:
     if not texts:
         print("no query texts given (separate queries with ';')")
         return 1
-    if args.parallel_refine <= 0:
-        print(f"--parallel-refine must be positive, got {args.parallel_refine}")
-        return 1
     queries = [
         SpatialKeywordQuery.around(center, text, args.range_km, args.range_km)
         for text in texts
     ]
 
     t0 = time.perf_counter()
-    results = system.query_many(queries, parallel_refine=args.parallel_refine)
+    results = system.query_many(queries)
     batch_s = time.perf_counter() - t0
 
     for result in results:
@@ -307,7 +304,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         coalesce=not args.no_coalesce,
         max_batch=args.max_batch,
         max_wait_s=args.max_wait_ms / 1000.0,
-        parallel_refine=args.parallel_refine,
         max_pending=args.max_pending or None,
     )
     server = ServingServer(
@@ -451,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", action="store_true",
                    help="treat TEXT as ';'-separated queries and answer "
                         "them through the batched engine (query_many)")
-    p.add_argument("--parallel-refine", type=int, default=4,
-                   help="refinement thread-pool size in --batch mode")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("table2", help="reproduce Table 2")
@@ -534,9 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest coalesced batch per engine call")
     p.add_argument("--max-wait-ms", type=float, default=5.0,
                    help="longest a lone request waits to be coalesced")
-    p.add_argument("--parallel-refine", type=int, default=4,
-                   help="LLM-refinement thread-pool size for coalesced "
-                        "/query batches")
     p.add_argument("--shard-workers", choices=["thread", "process"],
                    default="thread",
                    help="fan-out executor for sharded collections; "

@@ -9,8 +9,8 @@
 
 Batched execution: :meth:`SemaSK.query_many` answers a list of queries
 through the batched read path — one ``embed_batch`` call for all query
-texts, shared filter evaluation per distinct range, and (optionally)
-LLM refinement fanned out over a thread pool. It is the only
+texts, shared filter evaluation per distinct range, then LLM refinement
+query by query on the calling thread. It is the only
 filter-then-refine sequence: :meth:`SemaSK.query` is a batch of one, so a
 query's :class:`QueryResult` does not depend on its batchmates, apart
 from the batch's filtering time being amortized evenly across the
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.filtering import DEFAULT_CANDIDATES, Candidate, FilteringStage
@@ -65,8 +64,8 @@ class SemaSK:
     ) -> None:
         self._config = config or SemaSKConfig()
         self._llm = llm if llm is not None else SimulatedLLM()
-        # Any object with run(query, k) -> list[Candidate] can stand in for
-        # the default stage (e.g. the R-tree variant in core.spatial_filter).
+        # Any object with run_batch(queries, k) -> list[list[Candidate]] can
+        # stand in for the default stage (e.g. core.spatial_filter's R-tree).
         self._filtering = filtering or FilteringStage(
             prepared.client,
             prepared.collection_name,
@@ -101,36 +100,23 @@ class SemaSK:
         return self.query_many([query])[0]
 
     def query_many(
-        self,
-        queries: Sequence[SpatialKeywordQuery],
-        *,
-        parallel_refine: int = 1,
+        self, queries: Sequence[SpatialKeywordQuery]
     ) -> list[QueryResult]:
         """Answer many queries through the batched read path.
 
         Filtering runs once for the whole batch (batched embedding, shared
         range-filter evaluation, matrix scoring); refinement then runs per
-        query, on a thread pool of ``parallel_refine`` workers when > 1
-        (LLM calls are I/O-bound against a hosted provider). Results are
-        returned in query order. Each result's ``filter_s`` is the batch
-        filtering time divided by the batch size.
+        query, in order, on the calling thread. Results are returned in
+        query order. Each result's ``filter_s`` is the batch filtering
+        time divided by the batch size.
         """
-        if parallel_refine <= 0:
-            raise ValueError(
-                f"parallel_refine must be positive, got {parallel_refine}"
-            )
         if not queries:
             return []
 
         t0 = time.perf_counter()
-        run_batch = getattr(self._filtering, "run_batch", None)
-        if run_batch is not None:
-            candidate_lists = run_batch(queries, k=self._config.candidate_k)
-        else:  # duck-typed stages without a batch path fall back per query
-            candidate_lists = [
-                self._filtering.run(q, k=self._config.candidate_k)
-                for q in queries
-            ]
+        candidate_lists = self._filtering.run_batch(
+            queries, k=self._config.candidate_k
+        )
         filter_s = (time.perf_counter() - t0) / len(queries)
 
         if self._refinement is None:
@@ -139,22 +125,15 @@ class SemaSK:
                 for query, candidates in zip(queries, candidate_lists)
             ]
 
-        def refine(
-            pair: tuple[SpatialKeywordQuery, list[Candidate]]
-        ) -> QueryResult:
-            query, candidates = pair
+        results = []
+        for query, candidates in zip(queries, candidate_lists):
             t1 = time.perf_counter()
             outcome = self._refinement.run(query.text, candidates)
             refine_compute_s = time.perf_counter() - t1
-            return self._refined_result(
+            results.append(self._refined_result(
                 query, candidates, outcome, filter_s, refine_compute_s
-            )
-
-        pairs = list(zip(queries, candidate_lists))
-        if parallel_refine == 1 or len(pairs) == 1:
-            return [refine(pair) for pair in pairs]
-        with ThreadPoolExecutor(max_workers=parallel_refine) as pool:
-            return list(pool.map(refine, pairs))
+            ))
+        return results
 
     # ------------------------------------------------------------------
     # result assembly

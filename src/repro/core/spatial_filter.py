@@ -11,6 +11,8 @@ benchmark compares the latency profiles.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.core.filtering import Candidate, _to_candidates
 from repro.core.prepare import PreparedCity
 from repro.core.query import SpatialKeywordQuery
@@ -50,3 +52,9 @@ class RTreeFilteringStage:
             flt=FieldIn("business_id", in_range),
         )
         return _to_candidates(hits)
+
+    def run_batch(
+        self, queries: Sequence[SpatialKeywordQuery], k: int = 10
+    ) -> list[list[Candidate]]:
+        """:meth:`run` per query, in query order (the stage ``SemaSK`` calls)."""
+        return [self.run(query, k) for query in queries]

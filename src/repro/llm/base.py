@@ -51,9 +51,9 @@ class ChatCompletion:
 class UsageLedger:
     """Accumulates usage and cost across calls (per model).
 
-    Recording is internally locked: batched query execution may refine on
-    a thread pool against one shared client, and every client subclass
-    (including ones that override ``chat``) records through this method.
+    Recording is internally locked: serving threads refine against one
+    shared client, and every client subclass (including ones that
+    override ``chat``) records through this method.
     """
 
     calls: dict[str, int] = field(default_factory=dict)

@@ -41,12 +41,12 @@ class CachingLLMClient(LLMClient):
         self._max_entries = max_entries
         self._cache: OrderedDict[str, ChatCompletion] = OrderedDict()
         # LRU reordering and hit/miss counters are read-modify-write;
-        # batched refinement shares one client across a thread pool. The
-        # inner chat call itself stays outside the lock. ``_pending`` maps
+        # serving threads share one client. The inner chat call
+        # itself stays outside the lock. ``_pending`` maps
         # keys with an in-flight inner call to an event, so concurrent
         # misses on the same prompt pay the provider once and all receive
         # the identical completion (sequential-equivalence for duplicate
-        # queries in one batch).
+        # queries in flight together).
         self._cache_lock = threading.Lock()
         self._pending: dict[str, threading.Event] = {}
         self.hits = 0

@@ -22,7 +22,7 @@ Three classes:
   executes ``client.search_batch``.
 * :class:`QueryCoalescer` — full SemaSK pipeline queries; executes
   :meth:`~repro.core.pipeline.SemaSK.query_many` (which itself groups by
-  spatial range and fans refinement out over threads).
+  spatial range, then refines query by query).
 
 Error isolation: a batch whose execution raises is retried one item at a
 time, so a poison request fails only its own future — the innocent
@@ -530,9 +530,7 @@ class QueryCoalescer:
     All queries share one group — :meth:`SemaSK.query_many` already
     groups by spatial range internally and embeds every text in one
     ``embed_batch`` call, so pre-splitting here would only shrink the
-    batches. ``parallel_refine`` is forwarded so LLM refinement of a
-    coalesced batch fans out over threads (refinement is I/O-bound
-    against a hosted provider).
+    batches.
     """
 
     def __init__(
@@ -540,15 +538,9 @@ class QueryCoalescer:
         system: SemaSK,
         max_batch: int = 32,
         max_wait_s: float = 0.010,
-        parallel_refine: int = 4,
         max_pending: int | None = None,
     ) -> None:
-        if parallel_refine <= 0:
-            raise ValueError(
-                f"parallel_refine must be positive, got {parallel_refine}"
-            )
         self._system = system
-        self._parallel_refine = parallel_refine
         self._batcher = MicroBatcher(
             self._run, max_batch=max_batch, max_wait_s=max_wait_s,
             name="query-coalescer", max_pending=max_pending,
@@ -572,9 +564,7 @@ class QueryCoalescer:
     ) -> list[QueryResult]:
         # ``query_many`` takes no budget: expired items were already
         # dropped at dispatch, and the searches inside carry none.
-        return self._system.query_many(
-            queries, parallel_refine=min(self._parallel_refine, len(queries))
-        )
+        return self._system.query_many(queries)
 
     def submit(
         self,

@@ -64,6 +64,7 @@ context exactly once, whether triggered by SIGINT/SIGTERM (the
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from dataclasses import asdict
@@ -183,6 +184,13 @@ def _nested_filter(spec: Any) -> Filter:
     return filter_from_json(spec)
 
 
+def _reject_constant(literal: str) -> None:
+    """``json.loads`` ``parse_constant`` hook: ``NaN`` / ``Infinity`` /
+    ``-Infinity`` are not JSON, and a stored one would make every later
+    response that carries it unparseable."""
+    raise BadRequest(f"invalid JSON body: {literal} is not a JSON value")
+
+
 def _vector_from_json(raw: Any) -> np.ndarray:
     """A request's vector as float32, or :class:`BadRequest`: a NaN, an
     Infinity or an overflowing magnitude would be stored by ``/upsert``
@@ -240,7 +248,6 @@ class ServingContext:
         coalesce: bool = True,
         max_batch: int = 64,
         max_wait_s: float = 0.005,
-        parallel_refine: int = 4,
         own_client: bool = True,
         max_pending: int | None = None,
     ) -> None:
@@ -261,7 +268,7 @@ class ServingContext:
         self._query_coalescer = (
             QueryCoalescer(
                 system, max_batch=max_batch, max_wait_s=max_wait_s,
-                parallel_refine=parallel_refine, max_pending=max_pending,
+                max_pending=max_pending,
             )
             if coalesce and system is not None else None
         )
@@ -315,11 +322,16 @@ class ServingContext:
         coordinates are absent; a half-specified location (one of
         lat/lon) is rejected rather than silently answered around the
         default center. Raises :class:`BadRequest` for that, for absent
-        coordinates with no default center, and when no pipeline is
-        configured.
+        coordinates with no default center, for a ``text`` that is not a
+        string or a ``range_km`` that is not finite, and when no
+        pipeline is configured.
         """
         if self._system is None:
             raise BadRequest("this server exposes no query pipeline")
+        if not isinstance(text, str):
+            raise BadRequest("'text' must be a string")
+        if not math.isfinite(range_km):
+            raise BadRequest("'range_km' must be a finite number")
         if (lat is None) != (lon is None):
             raise BadRequest(
                 "provide both lat and lon, or neither (got only one)"
@@ -652,7 +664,9 @@ class _Handler(_JsonHandler):
     def _read_body(self) -> dict:
         """Parse the JSON request body (a JSON object, or 400)."""
         try:
-            body = json.loads(self._read_body_bytes())
+            body = json.loads(
+                self._read_body_bytes(), parse_constant=_reject_constant
+            )
         except json.JSONDecodeError as exc:
             raise BadRequest(f"invalid JSON body: {exc}") from exc
         if not isinstance(body, dict):
@@ -665,14 +679,11 @@ class _Handler(_JsonHandler):
         if raw is None:
             return None
         try:
-            budget_ms = float(raw)
-        except ValueError as exc:
+            return Deadline.after_ms(float(raw))
+        except ValueError as exc:  # not a number, negative, or NaN
             raise BadRequest(
-                f"invalid X-Repro-Deadline-Ms {raw!r}"
+                f"invalid X-Repro-Deadline-Ms {raw!r}: {exc}"
             ) from exc
-        if budget_ms < 0:
-            raise BadRequest("X-Repro-Deadline-Ms must be non-negative")
-        return Deadline.after_ms(budget_ms)
 
     def _dispatch(self, handler) -> None:
         if not self.server.request_began():
@@ -794,7 +805,7 @@ class _Handler(_JsonHandler):
         if "text" not in body:
             raise BadRequest("missing field 'text'")
         result = self.context.query(
-            str(body["text"]),
+            body["text"],
             lat=body.get("lat"),
             lon=body.get("lon"),
             range_km=float(body.get("range_km", 5.0)),
@@ -829,8 +840,11 @@ class _Handler(_JsonHandler):
         for required in ("collection", "directory"):
             if required not in body:
                 raise BadRequest(f"missing field {required!r}")
+        directory = str(body["directory"])
+        if not directory:  # Path("") is the server's working directory
+            raise BadRequest("'directory' must be a non-empty path")
         return 200, self.context.save_snapshot(
-            str(body["collection"]), str(body["directory"])
+            str(body["collection"]), directory
         )
 
     def _post_load(self) -> tuple[int, dict]:

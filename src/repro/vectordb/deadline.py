@@ -46,7 +46,7 @@ class Deadline:
     @classmethod
     def after(cls, seconds: float) -> "Deadline":
         """A deadline ``seconds`` from now; must be non-negative."""
-        if seconds < 0:
+        if not seconds >= 0:  # rejects NaN too, which ``< 0`` lets through
             raise ValueError(f"deadline must be non-negative, got {seconds}")
         return cls(expires_at=time.monotonic() + seconds)
 

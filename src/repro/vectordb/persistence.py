@@ -303,8 +303,25 @@ def save_collection(
     saving a copy elsewhere leaves durability of the original intact.
     Before staging, temp siblings stranded by previously interrupted
     saves are swept (see :func:`_sweep_stale_temps`).
+
+    Raises:
+        CollectionError: ``directory`` exists, is not empty and is not a
+            snapshot (no ``meta.json``). Publishing replaces the whole
+            tree, so anything else there would be deleted; an empty
+            directory or an earlier snapshot is replaced.
     """
     directory = Path(directory)
+    try:
+        # One listing, so a concurrent save swapping the tree cannot
+        # show this check half of each: published trees arrive whole.
+        found = os.listdir(directory)
+    except (FileNotFoundError, NotADirectoryError):
+        found = []
+    if found and _META_FILE not in found:
+        raise CollectionError(
+            f"refusing to save over {directory}: it is not empty and "
+            f"holds no snapshot ({_META_FILE} missing)"
+        )
     directory.parent.mkdir(parents=True, exist_ok=True)
     _sweep_stale_temps(directory)
     meta = None

@@ -471,26 +471,6 @@ def _pipeline_queries(corpus) -> list[SpatialKeywordQuery]:
     ]
 
 
-def assert_results_equivalent(batch_result, single_result):
-    assert batch_result.query_text == single_result.query_text
-    assert batch_result.candidates_considered == single_result.candidates_considered
-    for batch_entries, single_entries in (
-        (batch_result.entries, single_result.entries),
-        (batch_result.filtered_out, single_result.filtered_out),
-    ):
-        assert [e.business_id for e in batch_entries] == [
-            e.business_id for e in single_entries
-        ]
-        assert [e.reason for e in batch_entries] == [
-            e.reason for e in single_entries
-        ]
-        np.testing.assert_allclose(
-            [e.score for e in batch_entries],
-            [e.score for e in single_entries],
-            rtol=0, atol=1e-5,
-        )
-
-
 def oracle_entries(corpus, system, query):
     """``(entries, filtered_out)`` as ``(id, reason, score)`` triples.
 
@@ -569,19 +549,6 @@ class TestQueryManyEquivalence:
             tiny_corpus, semask_em(tiny_corpus.prepared)
         )
 
-    def test_parallel_refine_matches_serial(self, tiny_corpus):
-        system = semask(tiny_corpus.prepared, llm=tiny_corpus.llm)
-        queries = _pipeline_queries(tiny_corpus)
-        serial = system.query_many(queries, parallel_refine=1)
-        threaded = system.query_many(queries, parallel_refine=3)
-        for b, s in zip(threaded, serial):
-            assert_results_equivalent(b, s)
-
     def test_empty_batch(self, tiny_corpus):
         system = semask_em(tiny_corpus.prepared)
         assert system.query_many([]) == []
-
-    def test_invalid_parallelism(self, tiny_corpus):
-        system = semask_em(tiny_corpus.prepared)
-        with pytest.raises(ValueError):
-            system.query_many(_pipeline_queries(tiny_corpus), parallel_refine=0)

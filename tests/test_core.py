@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
+import threading
+
 import pytest
 
 from repro.core.filtering import FilteringStage
@@ -244,3 +247,26 @@ class TestPipelineVariants:
         a = system.query(query)
         b = system.query(query)
         assert a.ids() == b.ids()
+
+
+class TestRefinementIsALoop:
+    def test_query_many_takes_only_queries(self):
+        parameters = inspect.signature(SemaSK.query_many).parameters
+        assert list(parameters) == ["self", "queries"]
+
+    def test_batch_of_eight_starts_no_thread(self, small_corpus, monkeypatch):
+        system = semask(small_corpus.prepared, llm=small_corpus.llm)
+        texts = ["pizza", "latte", "sushi", "live music", "tacos",
+                 "bookshop", "yoga", "ramen"]
+        queries = [
+            SpatialKeywordQuery.around(SAINT_LOUIS.center, text, 8, 8)
+            for text in texts
+        ]
+        started = []
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda self: started.append(self)
+        )
+        results = system.query_many(queries)
+        assert [r.query_text for r in results] == texts
+        assert any(r.filtered_out for r in results)  # refinement did run
+        assert started == []

@@ -92,6 +92,26 @@ class TestRTreeFilteringStage:
         result = system.query(query)
         assert result.entries
 
+    def test_query_many_equals_per_query(self, small_corpus):
+        system = SemaSK(
+            small_corpus.prepared,
+            llm=small_corpus.llm,
+            filtering=RTreeFilteringStage(small_corpus.prepared),
+        )
+        queries = [
+            SpatialKeywordQuery.around(SAINT_LOUIS.center, text, km, km)
+            for text, km in [("pizza", 6), ("somewhere for a latte", 6),
+                             ("pizza", 3), ("live music bar", 4)]
+        ]
+        batch = system.query_many(queries)
+        assert any(result.entries for result in batch)
+        for got, query in zip(batch, queries):
+            want = system.query(query)
+            assert got.query_text == want.query_text == query.text
+            assert got.entries == want.entries
+            assert got.filtered_out == want.filtered_out
+            assert got.candidates_considered == want.candidates_considered
+
     def test_empty_region(self, small_corpus):
         from repro.geo.point import GeoPoint
 

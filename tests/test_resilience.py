@@ -883,7 +883,10 @@ class TestFleetDurability:
         replica, r_port = _spawn_replica(snap, "replica")
         router = ReplicaRouter(
             [f"127.0.0.1:{p_port}", f"127.0.0.1:{r_port}"],
-            health_interval_s=0.05, eject_after=2,
+            # No probe fires within the test: one landing between the
+            # kill and the next read would eject the primary (probe +
+            # failed write = eject_after) before any read can fail over.
+            health_interval_s=60.0, eject_after=2,
             retry=RetryPolicy(attempts=3, base_delay_s=0.01),
         ).start()
         n, kill_at = 30, 12

@@ -7,7 +7,8 @@
 * the untrusted edge — every documented ``/search`` knob is validated
   where the request is built (400 before anything is enqueued), and no
   body drawn from the filter grammar can make the server answer 500 or
-  emit non-JSON.
+  emit non-JSON. The same holds for ``/query``, ``/upsert``,
+  ``/set_payload`` and the ``X-Repro-Deadline-Ms`` header.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.core.variants import semask
 from repro.serving.batcher import SearchCoalescer
 from repro.serving.http import ServingContext, ServingServer
 from repro.vectordb.client import VectorDBClient
 from repro.vectordb.collection import PointStruct, SearchParams
+from repro.vectordb.deadline import Deadline
 from repro.vectordb.filters import FieldMatch
 from repro.vectordb.hnsw import HNSWIndex
 from repro.vectordb.sharded import ShardedCollection
@@ -57,6 +60,8 @@ QUERY = [0.5, -0.5, 0.25, 0.0, 0.1, 0.3, -0.2, 0.4]
 def client():
     with VectorDBClient() as c:
         c.create_collection("pts", dim=DIM, shards=2).upsert(_points())
+        # What the write fuzz may change; "pts" stays as the tests left it.
+        c.create_collection("scratch", dim=DIM, shards=2).upsert(_points(10))
         yield c
 
 
@@ -67,15 +72,32 @@ def server(client):
         yield srv
 
 
+@pytest.fixture(scope="module")
+def query_server(tiny_corpus):
+    """A server with a refining pipeline behind ``/query``."""
+    prepared = tiny_corpus.prepared
+    context = ServingContext(
+        prepared.client, system=semask(prepared, llm=tiny_corpus.llm),
+        default_center=tiny_corpus.city.center, max_wait_s=0.001,
+        own_client=False,
+    )
+    with ServingServer(context, port=0).start() as srv:
+        yield srv
+
+
 def _refuse_constant(token: str):
     raise ValueError(f"non-JSON constant {token} in a response body")
 
 
-def _post(base: str, path: str, body: dict) -> tuple[int, dict]:
-    """POST ``body``; the response must parse as *strict* JSON."""
+def _post(
+    base: str, path: str, body: dict | bytes, headers: dict | None = None
+) -> tuple[int, dict]:
+    """POST ``body`` (bytes go out verbatim); the response must parse as
+    *strict* JSON."""
     request = urllib.request.Request(
-        base + path, data=json.dumps(body).encode(),
-        headers={"Content-Type": "application/json"},
+        base + path,
+        data=body if isinstance(body, bytes) else json.dumps(body).encode(),
+        headers={"Content-Type": "application/json", **(headers or {})},
     )
     try:
         with urllib.request.urlopen(request, timeout=30) as response:
@@ -331,3 +353,155 @@ _bodies = st.fixed_dictionaries(
 def test_no_search_body_earns_a_500_or_a_non_json_answer(server, body):
     status, _ = _post(server.url, "/search", body)
     assert status in (200, 400, 404)
+
+
+
+# ----------------------------------------------------------------------
+# the other routes and the deadline header
+# ----------------------------------------------------------------------
+
+#: 2xx, a 4xx, or 504 for a budget that ran out: never a 5xx the client
+#: did not ask for.
+_HONEST = {200, 400, 404, 504}
+
+
+class TestStrictRequestJson:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_a_non_json_constant_is_400_and_is_not_stored(
+        self, server, client, literal
+    ):
+        # at the parent: 200 with {"a": NaN} echoed, stored, and served
+        # back by every later /search
+        status, answer = _post(
+            server.url, "/set_payload",
+            b'{"collection": "scratch", "id": "p1", "payload": {"a": %s}}'
+            % literal.encode(),
+        )
+        assert (status, list(answer)) == (400, ["error"])
+        assert literal in answer["error"]
+        assert "a" not in client.get_collection("scratch").retrieve("p1").payload
+
+    @pytest.mark.parametrize("fields, complaint", [
+        ('"text": "coffee", "range_km": NaN', "NaN"),   # parent: 200, empty
+        ('"text": "coffee", "range_km": 1e400', "range_km"),  # inf, no literal
+        ('"text": null', "text"),             # parent: queried as "None"
+        ('"text": ["a"]', "text"),            # parent: queried as "['a']"
+    ])
+    def test_query_fields_are_checked_not_coerced(
+        self, query_server, fields, complaint
+    ):
+        status, answer = _post(
+            query_server.url, "/query", b"{%s}" % fields.encode()
+        )
+        assert status == 400 and complaint in answer["error"]
+
+
+class TestDeadlineHeader:
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "-nan", "-1", "soon", ""])
+    def test_a_budget_that_is_not_a_non_negative_number_is_400(
+        self, server, query_server, raw
+    ):
+        # "nan" at the parent: 500 TimeoutError on both routes
+        header = {"X-Repro-Deadline-Ms": raw}
+        assert _post(server.url, "/search", _search_body(), header)[0] == 400
+        assert _post(
+            query_server.url, "/query", {"text": "coffee"}, header
+        )[0] == 400
+
+    def test_nan_cannot_become_a_deadline(self):
+        with pytest.raises(ValueError):
+            Deadline.after(float("nan"))
+        with pytest.raises(ValueError):
+            Deadline.after_ms(float("nan"))
+
+
+_budgets = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "0.0001", "250",
+                     "-0.0", " 7 ", "1_0", "0x10", "", "soon"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-5, 10**6).map(str),
+)
+_headers = st.one_of(
+    st.just({}), st.builds(lambda raw: {"X-Repro-Deadline-Ms": raw}, _budgets)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(headers=_headers, coalesce=st.booleans())
+def test_no_deadline_header_earns_a_500(server, headers, coalesce):
+    status, _ = _post(
+        server.url, "/search", _search_body(coalesce=coalesce), headers
+    )
+    assert status in _HONEST
+
+
+_texts = st.sampled_from(["cozy coffee shop", "pizza", "x", "", " "])
+_query_bodies = st.fixed_dictionaries(
+    {"text": _mostly("cozy coffee shop", st.one_of(_texts, _leaves))},
+    optional={
+        "lat": _mostly(34.42, _leaves),
+        "lon": _mostly(-119.70, _leaves),
+        "range_km": _mostly(5.0, _leaves),
+        "coalesce": _scalars,
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=_query_bodies, headers=_headers)
+def test_no_query_body_earns_a_500_or_a_non_json_answer(
+    query_server, body, headers
+):
+    status, _ = _post(query_server.url, "/query", body, headers)
+    assert status in _HONEST
+
+
+def _scratch_still_reads_as_json(base: str) -> None:
+    status, _ = _post(base, "/search", {
+        "collection": "scratch", "vector": QUERY, "k": 50, "exact": True,
+    })
+    assert status == 200
+
+
+_payloads = st.dictionaries(
+    st.sampled_from(["a", "city", "location", "rank"]), _leaves, max_size=3
+)
+_point_rows = st.fixed_dictionaries(
+    {
+        "id": _mostly("w1", _leaves),
+        "vector": _mostly(QUERY, st.one_of(
+            st.lists(_numbers, min_size=DIM, max_size=DIM), _leaves,
+        )),
+    },
+    optional={"payload": st.one_of(_payloads, _leaves)},
+)
+_upsert_bodies = st.fixed_dictionaries({
+    "collection": _mostly("scratch", st.sampled_from(["ghost", 7, None])),
+    "points": st.one_of(
+        st.lists(st.one_of(_point_rows, _point_rows, _leaves), max_size=3),
+        _leaves,
+    ),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=_upsert_bodies)
+def test_no_upsert_body_earns_a_500_or_a_non_json_answer(server, body):
+    status, _ = _post(server.url, "/upsert", body)
+    assert status in _HONEST
+    _scratch_still_reads_as_json(server.url)
+
+
+_set_payload_bodies = st.fixed_dictionaries({
+    "collection": _mostly("scratch", st.sampled_from(["ghost", 7, None])),
+    "id": _mostly("p1", _leaves),
+    "payload": st.one_of(_payloads, _payloads, _leaves),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=_set_payload_bodies)
+def test_no_set_payload_body_earns_a_500_or_a_non_json_answer(server, body):
+    status, _ = _post(server.url, "/set_payload", body)
+    assert status in _HONEST
+    _scratch_still_reads_as_json(server.url)

@@ -336,6 +336,35 @@ class TestQueryCoalescer:
             assert result.candidates_considered == direct.candidates_considered
         assert coalescer.stats.requests == 4
 
+    def test_full_batch_refines_on_the_dispatcher_thread(
+        self, tiny_corpus, monkeypatch
+    ):
+        system = semask(tiny_corpus.prepared, llm=tiny_corpus.llm)
+        center = city_by_code("SB").center
+        queries = [
+            SpatialKeywordQuery.around(center, text, 8, 8)
+            for text in ("cozy cafe", "wings", "quiet reading", "tacos",
+                         "sushi", "live music", "pizza", "brunch")
+        ]
+        started: list[str] = []
+        start = threading.Thread.start
+
+        def recording_start(thread: threading.Thread) -> None:
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        # The window never elapses: only the eighth submit dispatches.
+        coalescer = QueryCoalescer(system, max_batch=8, max_wait_s=60.0)
+        try:
+            futures = [coalescer.submit(query) for query in queries]
+            results = [future.result(timeout=30) for future in futures]
+        finally:
+            coalescer.close()
+        assert [r.query_text for r in results] == [q.text for q in queries]
+        assert coalescer.stats.batches == 1
+        assert started == ["dispatch-query-coalescer"]
+
 
 class TestFilterFromJson:
     def test_round_trips_each_node(self):
@@ -575,6 +604,25 @@ class TestHttpServer:
         assert status == 200
         assert loaded["name"] == prepared.collection_name
         assert loaded["points"] == len(prepared.dataset)
+
+    def test_snapshot_save_refusals_are_400(
+        self, server, tmp_path, monkeypatch
+    ):
+        srv, prepared = server
+        # "" is the server's working directory — at the parent: 500
+        # OSError (rename onto '.'), after staging a full snapshot there
+        monkeypatch.chdir(tmp_path)
+        assert _http_error(srv.url, "/admin/save", {
+            "collection": prepared.collection_name, "directory": "",
+        }) == 400
+        assert list(tmp_path.iterdir()) == []
+        # someone's files, not a snapshot — at the parent: 200, files gone
+        (tmp_path / "notes.txt").write_text("keep me")
+        assert _http_error(srv.url, "/admin/save", {
+            "collection": prepared.collection_name,
+            "directory": str(tmp_path),
+        }) == 400
+        assert (tmp_path / "notes.txt").read_text() == "keep me"
 
     def test_shutdown_is_graceful_and_idempotent(self, tiny_corpus):
         prepared = tiny_corpus.prepared

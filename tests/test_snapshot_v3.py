@@ -372,6 +372,30 @@ class TestAtomicSave:
         bigger.close()
         original.close()
 
+    def test_save_refuses_a_directory_that_is_not_a_snapshot(self, tmp_path):
+        """Publishing replaces the whole tree at the path: at the parent a
+        directory of someone's files came back holding only the snapshot."""
+        collection, _ = _build(build_graph=False)
+        target = tmp_path / "thesis"
+        (target / "sub").mkdir(parents=True)
+        (target / "thesis.tex").write_text("\\chapter{One}")
+        (target / "sub" / "data.csv").write_text("a,b\n1,2\n")
+        with pytest.raises(CollectionError, match="not empty.*meta.json"):
+            save_collection(collection, target)
+        assert sorted(p.name for p in target.iterdir()) == ["sub", "thesis.tex"]
+        assert (target / "sub" / "data.csv").read_text() == "a,b\n1,2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["thesis"]  # no staging
+
+        # an empty directory, and then the snapshot in it, are replaced
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        save_collection(collection, empty)
+        save_collection(collection, empty)
+        loaded = load_collection(empty)
+        assert len(loaded) == len(collection)
+        loaded.close()
+        collection.close()
+
     def test_concurrent_saves_to_same_path_never_corrupt(self, tmp_path):
         """Racing saves of one path must all succeed (last swap wins),
         leave a whole loadable snapshot, and no staging litter."""
