@@ -22,7 +22,10 @@ Two measurements:
   overhead is identical in both arms and *dilutes* the ratio — and on a
   one-core machine the benchmark's own 16 client threads contend with
   the server's handler threads and the dispatcher for the GIL, which
-  can invert the measurement entirely. This test therefore asserts
+  can invert the measurement entirely (measured on the 2-core sandbox,
+  alternated runs: 1.20 / 0.49 / 1.10 / 1.05× while the coalescer
+  still had a 4 ms wait window, 1.15 / 0.97 / 1.12 / 1.29× and once
+  2.33× with queue-draining dispatch). This test therefore asserts
   result equivalence (the part that must always hold) and reports the
   throughput numbers for the record; ``docs/serving.md`` discusses when
   the socket-level ratio is meaningful.
@@ -93,7 +96,7 @@ def test_serving_layer_coalescing_speedup(sl_corpus, sl_queries, bench_artifact)
     flt = _city_filter()
     name = prepared.collection_name
     with ServingContext(
-        prepared.client, own_client=False, max_batch=64, max_wait_s=0.004
+        prepared.client, own_client=False, max_batch=64
     ) as context:
 
         def run_arm(coalesce: bool):
@@ -153,7 +156,7 @@ def test_http_end_to_end_throughput(sl_corpus, sl_queries):
     }
     name = prepared.collection_name
     context = ServingContext(
-        prepared.client, own_client=False, max_batch=64, max_wait_s=0.004
+        prepared.client, own_client=False, max_batch=64
     )
     with ServingServer(context, port=0).start() as server:
         host, port = server.address

@@ -251,6 +251,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.shards <= 0:
         print(f"--shards must be positive, got {args.shards}")
         return 1
+    if args.max_batch <= 0:
+        print(f"--max-batch must be positive, got {args.max_batch}")
+        return 1
     if args.wal and not args.snapshot:
         print("--wal requires --snapshot (the write-ahead log lives "
               "beside the collection snapshot)")
@@ -303,7 +306,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_center=city_by_code(args.city).center,
         coalesce=not args.no_coalesce,
         max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1000.0,
         max_pending=args.max_pending or None,
     )
     server = ServingServer(
@@ -526,8 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "its own engine call)")
     p.add_argument("--max-batch", type=int, default=64,
                    help="largest coalesced batch per engine call")
-    p.add_argument("--max-wait-ms", type=float, default=5.0,
-                   help="longest a lone request waits to be coalesced")
     p.add_argument("--shard-workers", choices=["thread", "process"],
                    default="thread",
                    help="fan-out executor for sharded collections; "

@@ -5,14 +5,16 @@ cheaper than 64 ``search`` calls — but only for callers that *have* 64
 queries in hand. An online server does not: it has 64 concurrent clients
 holding one query each. The coalescer bridges the two. Concurrent
 callers enqueue single requests and block on a future; a dispatcher
-thread drains the queue as soon as a group reaches ``max_batch`` *or*
-its oldest request has waited ``max_wait_s``, executes one batched call
-for the whole group, and resolves every caller's future — so independent
-clients transparently ride the batched hot path.
+thread takes the oldest waiting group — whatever gathered while it was
+executing the previous batch — runs one batched call for it, and
+resolves every caller's future. Batches therefore form exactly when the
+engine is the bottleneck (requests queue behind a busy dispatcher) and
+never otherwise: there is no timer, and a lone request on an idle server
+pays one thread hop (< 0.1 ms), not a wait window.
 
 Three classes:
 
-* :class:`MicroBatcher` — the generic size-or-deadline machinery. Items
+* :class:`MicroBatcher` — the generic queue-draining machinery. Items
   are grouped by a caller-supplied key (only identically-parameterized
   requests may share a batch) and executed by a pluggable
   ``run_batch(key, items, deadline)``.
@@ -31,15 +33,13 @@ inherited from the batch engine's contract (same hits as per-query
 calls; scores equal up to float accumulation order) and locked down in
 ``tests/test_serving.py``.
 
-Tuning: ``max_wait_s`` is the latency a lone request pays for the chance
-to be coalesced; ``max_batch`` caps per-call work. Defaults (64 / 5 ms)
-suit the benchmarked corpus — see ``docs/serving.md`` for how to choose.
+Tuning: ``max_batch`` caps per-call work (default 64) — see
+``docs/serving.md``.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 import warnings
 from collections.abc import Callable, Hashable, Sequence
 from concurrent.futures import Future
@@ -123,15 +123,17 @@ def _await_future(
 
 # reprolint: disable=RL06 -- process-local: lives inside a ServingContext, never pickled
 class MicroBatcher:
-    """Size-or-deadline micro-batching over a ``run_batch`` callable.
+    """Queue-draining micro-batching over a ``run_batch`` callable.
 
     ``run_batch(key, items, deadline)`` must return one result per item,
     in order.
     :meth:`submit` enqueues an item under ``key`` and returns a
     :class:`~concurrent.futures.Future`; only items with equal keys are
-    batched together. A single dispatcher thread watches the queue and
-    fires a group when it reaches ``max_batch`` items or its oldest item
-    has waited ``max_wait_s`` seconds, whichever comes first.
+    batched together. A single dispatcher thread sleeps while the queue
+    is empty and otherwise takes the oldest group's first ``max_batch``
+    items — everything that queued under that key while it was busy —
+    executes them as one batch, and repeats; a group's leftovers go to
+    the back of the line, behind the other waiting groups.
 
     Lifecycle: the dispatcher starts with the first :meth:`submit`.
     :meth:`close` drains everything still queued (executing it, not
@@ -159,32 +161,25 @@ class MicroBatcher:
             [Hashable, list[Any], Deadline | None], Sequence[Any]
         ],
         max_batch: int = 64,
-        max_wait_s: float = 0.005,
         name: str = "batcher",
         max_pending: int | None = None,
     ) -> None:
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
-        if max_wait_s < 0:
-            raise ValueError(
-                f"max_wait_s must be non-negative, got {max_wait_s}"
-            )
         if max_pending is not None and max_pending <= 0:
             raise ValueError(
                 f"max_pending must be positive or None, got {max_pending}"
             )
         self._run_batch = run_batch
         self._max_batch = max_batch
-        self._max_wait_s = max_wait_s
         self._max_pending = max_pending
         self._name = name
         self._lock = threading.Condition()
-        # group -> (first-enqueue monotonic time, the caller's key,
-        #           [(item, future, deadline), ...]); the group is the
-        # key, or a placeholder for an unhashable one. Insertion order
-        # doubles as arrival order of the groups.
+        # group -> (the caller's key, [(item, future, deadline), ...]);
+        # the group is the key, or a placeholder for an unhashable one.
+        # Insertion order doubles as arrival order of the groups.
         self._groups: dict[Hashable, tuple[
-            float, Hashable, list[tuple[Any, Future, Deadline | None]]
+            Hashable, list[tuple[Any, Future, Deadline | None]]
         ]] = {}
         self._queued = 0  # items awaiting dispatch, across all groups
         self._thread: threading.Thread | None = None
@@ -246,11 +241,9 @@ class MicroBatcher:
                 self._thread.start()
             entry = self._groups.get(group)
             if entry is None:
-                self._groups[group] = (
-                    time.monotonic(), key, [(item, future, deadline)]
-                )
+                self._groups[group] = (key, [(item, future, deadline)])
             else:
-                entry[2].append((item, future, deadline))
+                entry[1].append((item, future, deadline))
             self._queued += 1
             self.stats.requests += 1
             self._lock.notify_all()
@@ -297,48 +290,27 @@ class MicroBatcher:
     # dispatcher side
     # ------------------------------------------------------------------
 
-    def _take_ready(self, now: float, drain: bool):
-        """Pop the most urgent ready group's first ``max_batch`` items.
-
-        Ready = full (``max_batch``), past its deadline, or ``drain``
-        (shutdown flushes everything). Returns ``(key, entries)`` or
-        ``None``. Called under the lock.
+    def _take_oldest(self):
+        """Pop the oldest group's first ``max_batch`` items as
+        ``(key, entries)``; leftovers re-queue behind the other groups.
+        Called under the lock with at least one group waiting.
         """
-        for group, (first_ts, key, entries) in self._groups.items():
-            if (
-                drain
-                or len(entries) >= self._max_batch
-                or now - first_ts >= self._max_wait_s
-            ):
-                break
-        else:  # no group is ready (note: the key itself may be None)
-            return None
-        del self._groups[group]
+        group = next(iter(self._groups))
+        key, entries = self._groups.pop(group)
         batch, rest = entries[: self._max_batch], entries[self._max_batch:]
         if rest:
-            # Leftovers start a fresh deadline: they are a new batch.
-            self._groups[group] = (now, key, rest)
+            self._groups[group] = (key, rest)
         self._queued -= len(batch)
         return key, batch
-
-    def _next_deadline(self, now: float) -> float | None:
-        """Seconds until the oldest group must flush (None = no groups)."""
-        if not self._groups:
-            return None
-        oldest = min(first_ts for first_ts, _, _ in self._groups.values())
-        return max(0.0, oldest + self._max_wait_s - now)
 
     def _dispatch_loop(self) -> None:
         while True:
             with self._lock:
-                while True:
-                    taken = self._take_ready(time.monotonic(), self._closed)
-                    if taken is not None:
-                        break
+                while not self._groups:
                     if self._closed:
                         return  # closed and fully drained
-                    self._lock.wait(self._next_deadline(time.monotonic()))
-                key, batch = taken
+                    self._lock.wait()
+                key, batch = self._take_oldest()
                 self.stats.batches += 1
                 self.stats.requests_dispatched += len(batch)
                 self.stats.max_batch_seen = max(
@@ -445,13 +417,12 @@ class SearchCoalescer:
         self,
         client: VectorDBClient,
         max_batch: int = 64,
-        max_wait_s: float = 0.005,
         max_pending: int | None = None,
     ) -> None:
         self._client = client
         self._batcher = MicroBatcher(
-            self._run, max_batch=max_batch, max_wait_s=max_wait_s,
-            name="search-coalescer", max_pending=max_pending,
+            self._run, max_batch=max_batch, name="search-coalescer",
+            max_pending=max_pending,
         )
 
     @property
@@ -537,13 +508,12 @@ class QueryCoalescer:
         self,
         system: SemaSK,
         max_batch: int = 32,
-        max_wait_s: float = 0.010,
         max_pending: int | None = None,
     ) -> None:
         self._system = system
         self._batcher = MicroBatcher(
-            self._run, max_batch=max_batch, max_wait_s=max_wait_s,
-            name="query-coalescer", max_pending=max_pending,
+            self._run, max_batch=max_batch, name="query-coalescer",
+            max_pending=max_pending,
         )
 
     @property

@@ -50,8 +50,9 @@ or a coalescer's ``max_pending`` queue is full, never blocking or
 buffering without bound.
 
 Concurrency model: ``ThreadingHTTPServer`` parks each connection in its
-own thread; handler threads block on coalescer futures, so concurrent
-``/search`` requests ride one ``search_batch`` call (see
+own thread; handler threads block on coalescer futures, and requests
+that queue while the dispatcher is executing leave as one
+``search_batch`` call — a lone request leaves at once (see
 :mod:`repro.serving.batcher`). ``coalesce: false`` in a request body
 opts that request out — used by the serving benchmark's baseline arm.
 
@@ -247,7 +248,6 @@ class ServingContext:
         default_center: GeoPoint | None = None,
         coalesce: bool = True,
         max_batch: int = 64,
-        max_wait_s: float = 0.005,
         own_client: bool = True,
         max_pending: int | None = None,
     ) -> None:
@@ -260,15 +260,13 @@ class ServingContext:
         self.metrics = ServingMetrics()
         self._search_coalescer = (
             SearchCoalescer(
-                client, max_batch=max_batch, max_wait_s=max_wait_s,
-                max_pending=max_pending,
+                client, max_batch=max_batch, max_pending=max_pending
             )
             if coalesce else None
         )
         self._query_coalescer = (
             QueryCoalescer(
-                system, max_batch=max_batch, max_wait_s=max_wait_s,
-                max_pending=max_pending,
+                system, max_batch=max_batch, max_pending=max_pending
             )
             if coalesce and system is not None else None
         )
@@ -443,6 +441,15 @@ class ServingContext:
             depths["query"] = self._query_coalescer.pending
         return depths
 
+    def _coalescer_stats(self) -> dict:
+        """Dispatch counters of each coalescer that exists, by name."""
+        stats = {}
+        if self._search_coalescer is not None:
+            stats["search"] = self._search_coalescer.stats.snapshot()
+        if self._query_coalescer is not None:
+            stats["query"] = self._query_coalescer.stats.snapshot()
+        return stats
+
     def health(self) -> dict:
         """The ``/healthz`` body: liveness, uptime, coalescer + WAL stats."""
         body: dict = {
@@ -454,10 +461,8 @@ class ServingContext:
             "queue_depths": self.queue_depths(),
             "backpressure": self.metrics.counters(),
         }
-        if self._search_coalescer is not None:
-            body["search_coalescer"] = self._search_coalescer.stats.snapshot()
-        if self._query_coalescer is not None:
-            body["query_coalescer"] = self._query_coalescer.stats.snapshot()
+        for name, stats in self._coalescer_stats().items():
+            body[f"{name}_coalescer"] = stats
         # Per-collection WAL depth (records awaiting the next snapshot
         # truncation); None when that collection's durability is off.
         wal = {
@@ -471,12 +476,7 @@ class ServingContext:
         """The ``/metrics`` body: counters, histograms, queue depths."""
         body = self.metrics.snapshot()
         body["queue_depths"] = self.queue_depths()
-        coalescers = {}
-        if self._search_coalescer is not None:
-            coalescers["search"] = self._search_coalescer.stats.snapshot()
-        if self._query_coalescer is not None:
-            coalescers["query"] = self._query_coalescer.stats.snapshot()
-        body["coalescers"] = coalescers
+        body["coalescers"] = self._coalescer_stats()
         return body
 
     def close(self) -> None:
@@ -570,7 +570,8 @@ class _JsonHandler(BaseHTTPRequestHandler):
     bounded body reader. Subclasses add only their routing.
 
     Every response leaves through :meth:`_send_bytes`, so that is where
-    a request id, an access log line or a one-segment write would go.
+    a request id, an access log line or a one-segment write would go —
+    and where a peer that hung up before reading ends quietly.
     """
 
     protocol_version = "HTTP/1.1"  # keep-alive: clients reuse connections
@@ -607,8 +608,14 @@ class _JsonHandler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", "1")
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
+        try:
+            self.end_headers()
+            self.wfile.write(data)
+        except (BrokenPipeError, ConnectionResetError):
+            # The peer hung up before reading (a router attempt capped
+            # at its deadline does exactly this): nothing to answer, and
+            # not a server error.
+            self.close_connection = True
 
     def _read_body_bytes(self) -> bytes:
         """The raw request body, refusing to read unbounded bytes.
@@ -740,21 +747,18 @@ class _Handler(_JsonHandler):
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib API name)
         routes = {
-            "/healthz": lambda: (200, self._health_body()),
-            "/metrics": lambda: (200, self._metrics_body()),
+            "/healthz": lambda: (
+                200, self._with_inflight(self.context.health())
+            ),
+            "/metrics": lambda: (
+                200, self._with_inflight(self.context.metrics_body())
+            ),
             "/collections": lambda: (200, self.context.collections()),
         }
         self._dispatch(routes.get(self.path, self._unknown_path))
 
-    def _health_body(self) -> dict:
-        body = self.context.health()
-        body["inflight"] = self.server.inflight
-        body["max_inflight"] = self.server.max_inflight
-        body["inflight_shed_total"] = self.server.shed_total
-        return body
-
-    def _metrics_body(self) -> dict:
-        body = self.context.metrics_body()
+    def _with_inflight(self, body: dict) -> dict:
+        """``body`` plus the socket layer's in-flight accounting."""
         body["inflight"] = self.server.inflight
         body["max_inflight"] = self.server.max_inflight
         body["inflight_shed_total"] = self.server.shed_total

@@ -13,7 +13,10 @@ Routing policy:
   failures and backend 5xx — they are idempotent, so trying a sibling
   replica is always safe. Retries use exponential backoff with jitter
   (:class:`RetryPolicy`) and honor the request's remaining deadline: a
-  retry is never attempted past the ``X-Repro-Deadline-Ms`` budget.
+  retry is never attempted past the ``X-Repro-Deadline-Ms`` budget. A
+  spent budget is the client's, not the replica's: a backend 504, or an
+  attempt cut off by the deadline, is answered 504 as is — no strike
+  toward ejection, no failover, no retry.
 * **Writes** (``POST /upsert``, ``/set_payload``, ``/admin/*``) go to
   the *primary* — the first configured backend — and are **never
   retried**: a connection that dies mid-write leaves the write's fate
@@ -337,6 +340,17 @@ class ReplicaRouter:
                 outcome = self._request(
                     backend, method, path, body, headers, timeout
                 )
+                if outcome is not None and outcome[0] == 504:
+                    # The backend spent the client's budget — an answer,
+                    # not a health signal; no sibling has more time left.
+                    return outcome
+                budget_spent = deadline is not None and deadline.expired
+                if outcome is None and budget_spent:
+                    # The attempt's timeout was the budget's remainder:
+                    # the client ran out of time, the backend did not fail.
+                    return 504, _json_error(
+                        "deadline exceeded awaiting the backend"
+                    )
                 if outcome is not None and outcome[0] < 500:
                     with self._lock:
                         self._note_success(backend)

@@ -100,6 +100,20 @@ def _call_site() -> str:
     return f"{filename}:{frame.f_lineno}"
 
 
+def _thread_name() -> str:
+    """The calling thread's name, without ``threading.current_thread()``.
+
+    A thread takes its first watched lock (``Thread._started``'s) while
+    still bootstrapping, before it is registered; ``current_thread()``
+    would then build a ``_DummyThread`` whose own ``Event`` takes
+    another watched lock, and so on until ``RecursionError`` kills the
+    thread holding the lock ``Thread.start()`` is waiting for.
+    """
+    ident = threading.get_ident()
+    thread = threading._active.get(ident)
+    return thread.name if thread is not None else f"Thread-ident-{ident}"
+
+
 class _HeldEntry:
     """Per-thread record of one currently held lock."""
 
@@ -269,7 +283,7 @@ class LockWatcher:
         entry.count = count
         stack.append(entry)
         if new_edges or lock_id not in self._names:
-            thread = threading.current_thread().name
+            thread = _thread_name()
             with self._mutex:
                 self._names.setdefault(lock_id, lock._name)
                 for edge in new_edges:
@@ -312,7 +326,7 @@ class LockWatcher:
             violation = HoldViolation(
                 lock=lock._name,
                 seconds=seconds,
-                thread=threading.current_thread().name,
+                thread=_thread_name(),
                 site=entry.site,
             )
             with self._mutex:

@@ -38,8 +38,7 @@ Durability modes (``fsync=``):
   write call).
 * ``"batch"`` (default) — appends return after a buffered write; a
   background flusher thread fsyncs at most every ``FLUSH_INTERVAL_S``
-  (5 ms, matched to the request coalescer's dispatch window, so one
-  flush covers a whole dispatch window's worth of writes).
+  (5 ms, so one flush covers a burst of writes).
   Bounded loss window on power failure; nothing lost on process death
   (the OS already has the bytes).
 * ``"off"`` — never fsync (the OS flushes on its own schedule). Still

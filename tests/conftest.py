@@ -20,6 +20,7 @@ test, so dtype drift fails at the entrypoint and allocation budgets
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import threading
 
@@ -69,6 +70,47 @@ def small_corpus() -> EvalCorpus:
 def tiny_corpus() -> EvalCorpus:
     """A tiny Santa Barbara corpus (200 POIs) for faster integration tests."""
     return build_corpus("SB", seed=11, count=200)
+
+
+@contextlib.contextmanager
+def _plugged(batcher):
+    """Keep ``batcher``'s dispatcher busy for the ``with`` body.
+
+    The dispatcher batches what queued while it was executing, so a
+    test assembles a batch by making it execute something: the plug, a
+    first item under a key of its own whose ``run_batch`` blocks until
+    the body exits. Everything the body submits is then waiting when the
+    dispatcher comes back. Takes a ``MicroBatcher`` or a coalescer; the
+    plug shows in ``stats`` as one request and one batch of one.
+    """
+    batcher = getattr(batcher, "_batcher", batcher)
+    inner = batcher._run_batch
+    plug = object()
+    entered, release = threading.Event(), threading.Event()
+
+    def run_batch(key, items, deadline):
+        if key is not plug:
+            return inner(key, items, deadline)
+        entered.set()
+        release.wait(30)
+        return items
+
+    batcher._run_batch = run_batch
+    future = batcher.submit(plug, None)
+    assert entered.wait(5), "the dispatcher never picked the plug up"
+    try:
+        yield
+    finally:
+        release.set()
+        future.result(timeout=5)
+        batcher._run_batch = inner
+
+
+@pytest.fixture
+def plugged():
+    """The :func:`_plugged` context manager, for tests that need the
+    coalescer to form a batch deterministically."""
+    return _plugged
 
 
 # ----------------------------------------------------------------------

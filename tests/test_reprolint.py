@@ -671,6 +671,32 @@ class TestLockWatch:
                 cond.wait(timeout=0.3)
         assert watcher.hold_violations() == []
 
+    def test_unregistered_thread_can_take_a_watched_lock(self):
+        """A thread ``threading`` has not registered yet — every new
+        ``Thread`` while it sets ``_started`` — must not make the
+        watcher build ``_DummyThread`` objects (each takes a watched
+        lock of its own: unbounded recursion)."""
+        import _thread
+
+        outcome: list[str] = []
+        done = threading.Event()
+        watcher = LockWatcher()
+        with watcher.watching():
+            lock = threading.Lock()
+
+            def raw():
+                try:
+                    with lock:
+                        pass
+                    outcome.append("ok")
+                except RecursionError:
+                    outcome.append("recursed")
+                done.set()
+
+            _thread.start_new_thread(raw, ())
+            assert done.wait(timeout=5.0)
+        assert outcome == ["ok"]
+
     def test_rlock_reentrancy_no_self_edge(self):
         watcher = LockWatcher()
         with watcher.watching():

@@ -29,6 +29,7 @@ import json
 import os
 import pickle
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -96,7 +97,6 @@ def _serving_server(
     coalesce: bool = False,
     max_pending: int | None = None,
     max_inflight: int | None = None,
-    max_wait_s: float = 0.002,
 ) -> ServingServer:
     """A live server over a fresh 2-shard collection (owned: shutdown
     closes the client)."""
@@ -105,8 +105,7 @@ def _serving_server(
         _points(_vectors(n_points))
     )
     context = ServingContext(
-        client, coalesce=coalesce, max_pending=max_pending,
-        max_wait_s=max_wait_s,
+        client, coalesce=coalesce, max_pending=max_pending
     )
     return ServingServer(
         context, port=0, max_inflight=max_inflight
@@ -259,6 +258,32 @@ class TestHttpDeadline:
         status, metrics = _http(server.url, "/metrics")
         assert metrics["deadline_exceeded_total"] == 1
 
+    def test_client_hanging_up_is_not_a_server_error(self, server, capfd):
+        """A peer that closes before reading (the router's deadline-capped
+        attempts do) gets no traceback, and the server keeps serving."""
+        payload = json.dumps(_search_body(_vectors(1, seed=12)[0])).encode()
+        entered, gone = threading.Event(), threading.Event()
+
+        def hold(method, path):
+            entered.set()
+            gone.wait(5)
+
+        with chaos.fault("http.request", hold):
+            with socket.create_connection(server.address) as sock:
+                sock.sendall(
+                    b"POST /search HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(payload) + payload
+                )
+                assert entered.wait(5)
+            gone.set()  # the handler now answers a closed socket
+        assert server._httpd.wait_idle(timeout=5)
+        status, body = _http(
+            server.url, "/search", _search_body(_vectors(1, seed=12)[0])
+        )
+        assert status == 200 and len(body["hits"]) == 5
+        assert capfd.readouterr().err == ""
+
     def test_malformed_deadline_header_is_400(self, server):
         vec = _vectors(1, seed=6)[0]
         for bad in ("banana", "-20"):
@@ -286,9 +311,7 @@ class TestBatcherBackpressure:
             release.wait(30)
             return items
 
-        batcher = MicroBatcher(
-            run, max_batch=1, max_wait_s=0.0, max_pending=2, name="bp"
-        )
+        batcher = MicroBatcher(run, max_batch=1, max_pending=2, name="bp")
         try:
             first = batcher.submit("k", 1)
             assert entered.wait(5)  # item 1 dequeued, run_batch wedged
@@ -314,7 +337,7 @@ class TestBatcherBackpressure:
             executed.extend(items)
             return items
 
-        batcher = MicroBatcher(run, max_batch=1, max_wait_s=0.0, name="exp")
+        batcher = MicroBatcher(run, max_batch=1, name="exp")
         try:
             blocker = batcher.submit("a", "blocker")
             assert entered.wait(5)
@@ -385,8 +408,7 @@ class TestHttpBackpressure:
             assert metrics["shed_total"] >= 1
 
     def test_coalescer_queue_full_sheds_429(self):
-        with _serving_server(coalesce=True, max_pending=1,
-                             max_wait_s=0.001) as srv:
+        with _serving_server(coalesce=True, max_pending=1) as srv:
             entered = threading.Event()
             release = threading.Event()
 
@@ -682,6 +704,69 @@ class TestRouterRouting:
                 b["requests"] for b in router.snapshot()["backends"]
             )
             assert total == 0  # no backend was bothered
+        finally:
+            router.close()
+
+    def test_spent_budget_never_ejects_a_healthy_replica(self, pair):
+        """A client's deadline running out mid-attempt is the client's
+        problem: four such reads would be two strikes on each backend."""
+        router = ReplicaRouter([_addr(s) for s in pair],
+                               health_interval_s=60.0, eject_after=2)
+        body = json.dumps(_search_body(_vectors(1, seed=22)[0])).encode()
+        headers = {"Content-Type": "application/json"}
+
+        def slow(method, path):
+            time.sleep(0.2)  # ten budgets: every attempt is cut off
+
+        try:
+            with chaos.fault("http.request", slow):
+                for _ in range(4):
+                    status, _ = router.forward(
+                        "POST", "/search", body,
+                        {**headers, "X-Repro-Deadline-Ms": "20"},
+                    )
+                    assert status == 504
+            snapshot = router.snapshot()
+            assert [
+                (b["state"], b["consecutive_failures"])
+                for b in snapshot["backends"]
+            ] == [("healthy", 0), ("healthy", 0)]
+            assert snapshot["failovers_total"] == 0
+            status, _ = router.forward("POST", "/search", body, headers)
+            assert status == 200
+        finally:
+            router.close()
+
+    def test_backend_504_is_an_answer_not_a_failure(self, pair):
+        router = ReplicaRouter(
+            [_addr(s) for s in pair], health_interval_s=60.0, eject_after=2,
+            retry=RetryPolicy(attempts=3, base_delay_s=0.01),
+        )
+        body = json.dumps(_search_body(_vectors(1, seed=23)[0])).encode()
+        headers = {"Content-Type": "application/json"}
+
+        def out_of_budget(method, path):
+            raise DeadlineExceeded("chaos: budget spent in the engine")
+
+        try:
+            with chaos.fault("http.request", out_of_budget):
+                for _ in range(4):
+                    status, payload = router.forward(
+                        "POST", "/search", body,
+                        {**headers, "X-Repro-Deadline-Ms": "30000"},
+                    )
+                    assert status == 504
+                    assert b"budget spent in the engine" in payload
+            snapshot = router.snapshot()
+            # one attempt per read: returned as is, no failover, no retry
+            assert [b["requests"] for b in snapshot["backends"]] == [2, 2]
+            assert [b["state"] for b in snapshot["backends"]] == [
+                "healthy", "healthy",
+            ]
+            assert snapshot["failovers_total"] == 0
+            assert snapshot["retries_total"] == 0
+            status, _ = router.forward("POST", "/search", body, headers)
+            assert status == 200
         finally:
             router.close()
 

@@ -67,7 +67,7 @@ def client():
 
 @pytest.fixture(scope="module")
 def server(client):
-    context = ServingContext(client, max_wait_s=0.001, own_client=False)
+    context = ServingContext(client, own_client=False)
     with ServingServer(context, port=0).start() as srv:
         yield srv
 
@@ -78,8 +78,7 @@ def query_server(tiny_corpus):
     prepared = tiny_corpus.prepared
     context = ServingContext(
         prepared.client, system=semask(prepared, llm=tiny_corpus.llm),
-        default_center=tiny_corpus.city.center, max_wait_s=0.001,
-        own_client=False,
+        default_center=tiny_corpus.city.center, own_client=False,
     )
     with ServingServer(context, port=0).start() as srv:
         yield srv
@@ -140,7 +139,7 @@ class TestSearchParams:
             hash(SearchParams(3, flt=FieldMatch("city", [1, 2])))
 
     def test_equal_params_share_a_batch_unequal_never_do(
-        self, client, monkeypatch
+        self, client, monkeypatch, plugged
     ):
         calls: list[tuple[SearchParams, int]] = []
         real = client.search_batch
@@ -154,13 +153,12 @@ class TestSearchParams:
         variants = [
             {}, {"rescore_factor": 2.0}, {"ef": 32}, {"exact": True},
         ]
-        # A 30 s window: only close()'s drain fires the groups, so equal
-        # keys are certain to have met in the queue.
-        coalescer = SearchCoalescer(client, max_batch=64, max_wait_s=30.0)
-        futures = [
-            coalescer.submit("pts", QUERY, 4, flt=flt, **knobs)
-            for knobs in variants for _ in range(2)
-        ]
+        coalescer = SearchCoalescer(client, max_batch=64)
+        with plugged(coalescer):  # equal keys are certain to meet in the queue
+            futures = [
+                coalescer.submit("pts", QUERY, 4, flt=flt, **knobs)
+                for knobs in variants for _ in range(2)
+            ]
         coalescer.close()
         assert all(len(f.result(timeout=5)) == 4 for f in futures)
         assert sorted(calls, key=lambda c: repr(c[0])) == sorted(

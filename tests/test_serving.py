@@ -5,8 +5,9 @@ Pins the serving PR's contracts:
 * **Coalescer equivalence** — N concurrent single searches through the
   coalescer return the same hits as direct ``search`` calls (the batch
   engine's equivalence guarantee survives the queueing layer).
-* **Dispatch triggers** — a full group fires immediately; a lone request
-  fires at its deadline, never hangs.
+* **Dispatch** — the dispatcher takes what queued while it was busy: a
+  lone request leaves at once, a backlog leaves as batches of at most
+  ``max_batch``, oldest group first.
 * **Error isolation** — a poison request fails alone; batchmates
   succeed. Malformed requests are rejected before entering a batch.
 * **HTTP round-trip** — a live ``ServingServer`` on an ephemeral port
@@ -20,6 +21,7 @@ Pins the serving PR's contracts:
 from __future__ import annotations
 
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -28,6 +30,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.cli import build_parser, main
 from repro.core.query import SpatialKeywordQuery
 from repro.core.variants import semask, semask_em
 from repro.errors import CollectionError, DimensionMismatch
@@ -91,43 +94,50 @@ def client():
 
 
 class TestMicroBatcher:
-    def test_full_group_dispatches_before_deadline(self):
+    def test_full_group_dispatches_as_one_batch(self, plugged):
         with MicroBatcher(
-            lambda key, items, deadline: [i * 2 for i in items],
-            max_batch=8, max_wait_s=30.0,  # deadline can't be the trigger
+            lambda key, items, deadline: [i * 2 for i in items], max_batch=8
         ) as batcher:
-            futures = [batcher.submit("k", i) for i in range(8)]
+            with plugged(batcher):
+                futures = [batcher.submit("k", i) for i in range(8)]
             results = [f.result(timeout=5) for f in futures]
         assert results == [i * 2 for i in range(8)]
-        assert batcher.stats.batches == 1
+        assert batcher.stats.batches == 2  # the plug, then the group
         assert batcher.stats.max_batch_seen == 8
 
-    def test_deadline_flushes_partial_group(self):
-        with MicroBatcher(
-            lambda key, items, deadline: [i * 2 for i in items],
-            max_batch=64, max_wait_s=0.01,
-        ) as batcher:
-            t0 = time.monotonic()
-            futures = [batcher.submit("k", i) for i in range(3)]
-            results = [f.result(timeout=5) for f in futures]
-            elapsed = time.monotonic() - t0
-        assert results == [0, 2, 4]
-        assert batcher.stats.batches == 1  # one flush, not one per item
-        assert elapsed < 5.0  # flushed by deadline, not by timeout
-
-    def test_distinct_keys_never_share_a_batch(self):
+    def test_distinct_keys_never_share_a_batch(self, plugged):
         seen: list[tuple] = []
 
         def run(key, items, deadline):
             seen.append((key, tuple(items)))
             return items
 
-        with MicroBatcher(run, max_batch=16, max_wait_s=0.01) as batcher:
-            fa = [batcher.submit("a", i) for i in range(3)]
-            fb = [batcher.submit("b", i) for i in range(2)]
+        with MicroBatcher(run, max_batch=16) as batcher:
+            with plugged(batcher):
+                fa = [batcher.submit("a", i) for i in range(3)]
+                fb = [batcher.submit("b", i) for i in range(2)]
             for f in fa + fb:
                 f.result(timeout=5)
-        assert sorted(seen) == [("a", (0, 1, 2)), ("b", (0, 1))]
+        assert seen == [("a", (0, 1, 2)), ("b", (0, 1))]
+
+    def test_backlog_leaves_in_max_batch_slices_behind_other_groups(
+        self, plugged
+    ):
+        seen: list[tuple] = []
+
+        def run(key, items, deadline):
+            seen.append((key, tuple(items)))
+            return items
+
+        with MicroBatcher(run, max_batch=4) as batcher:
+            with plugged(batcher):
+                futures = [batcher.submit("a", i) for i in range(6)]
+                futures += [batcher.submit("b", i) for i in range(2)]
+            for f in futures:
+                f.result(timeout=5)
+        # "a" arrived first, but its overflow queues behind "b".
+        assert seen == [("a", (0, 1, 2, 3)), ("b", (0, 1)), ("a", (4, 5))]
+        assert batcher.stats.max_batch_seen == 4
 
     def test_unhashable_key_gets_private_group(self):
         seen = []
@@ -136,24 +146,25 @@ class TestMicroBatcher:
             seen.append((key, tuple(items)))
             return items
 
-        with MicroBatcher(run, max_batch=4, max_wait_s=0.005) as batcher:
+        with MicroBatcher(run, max_batch=4) as batcher:
             futures = [batcher.submit({"un": "hashable"}, i) for i in (1, 2)]
             assert [f.result(timeout=5) for f in futures] == [1, 2]
         # never coalesced, and run_batch gets the caller's key, not the
         # placeholder the group is filed under
         assert seen == [({"un": "hashable"}, (1,)), ({"un": "hashable"}, (2,))]
 
-    def test_error_isolation_poison_fails_alone(self):
+    def test_error_isolation_poison_fails_alone(self, plugged):
         def run(key, items, deadline):
             if any(i == "poison" for i in items):
                 raise RuntimeError("bad batch")
             return [f"ok:{i}" for i in items]
 
-        with MicroBatcher(run, max_batch=8, max_wait_s=30.0) as batcher:
-            futures = [
-                batcher.submit("k", "poison" if i == 3 else i)
-                for i in range(8)
-            ]
+        with MicroBatcher(run, max_batch=8) as batcher:
+            with plugged(batcher):
+                futures = [
+                    batcher.submit("k", "poison" if i == 3 else i)
+                    for i in range(8)
+                ]
             outcomes = []
             for f in futures:
                 try:
@@ -166,18 +177,18 @@ class TestMicroBatcher:
         ]
         assert batcher.stats.retried_singly == 8
 
-    def test_close_drains_pending_and_rejects_new(self):
-        batcher = MicroBatcher(
-            lambda key, items, deadline: items, max_batch=64, max_wait_s=30.0
-        )
-        future = batcher.submit("k", 1)  # would wait 30 s for its deadline
-        batcher.close()
+    def test_close_drains_pending_and_rejects_new(self, plugged):
+        batcher = MicroBatcher(lambda key, items, deadline: items)
+        with plugged(batcher):
+            future = batcher.submit("k", 1)  # queued behind the plug
+            with pytest.warns(RuntimeWarning, match="failed to stop"):
+                assert batcher.close(timeout=0.05) is False
+            with pytest.raises(RuntimeError):
+                batcher.submit("k", 2)
+        assert batcher.close() is True  # idempotent, and now it stops
         assert future.result(timeout=1) == 1  # drained, not cancelled
-        with pytest.raises(RuntimeError):
-            batcher.submit("k", 2)
-        batcher.close()  # idempotent
 
-    def test_chaos_poison_with_deadlines_fails_alone(self):
+    def test_chaos_poison_with_deadlines_fails_alone(self, plugged):
         """A fault injected into batch execution — with the deadline
         machinery active — fails only the poisoned future, and the
         per-item isolation retries pass each item's own deadline."""
@@ -195,14 +206,15 @@ class TestMicroBatcher:
             return [f"ok:{i}" for i in items]
 
         with chaos.fault("batcher.run_batch", poison_hook):
-            with MicroBatcher(run, max_batch=8, max_wait_s=30.0) as batcher:
+            with MicroBatcher(run, max_batch=8) as batcher:
                 deadline = Deadline.after(30.0)
-                futures = [
-                    batcher.submit(
-                        "k", "poison" if i == 3 else i, deadline=deadline
-                    )
-                    for i in range(8)
-                ]
+                with plugged(batcher):
+                    futures = [
+                        batcher.submit(
+                            "k", "poison" if i == 3 else i, deadline=deadline
+                        )
+                        for i in range(8)
+                    ]
                 outcomes = []
                 for f in futures:
                     try:
@@ -228,7 +240,7 @@ class TestMicroBatcher:
             release.wait(30)
             return items
 
-        batcher = MicroBatcher(run, max_batch=1, max_wait_s=0.0, name="wedge")
+        batcher = MicroBatcher(run, max_batch=1, name="wedge")
         future = batcher.submit("k", 1)
         assert entered.wait(5)  # run_batch is wedged mid-execution
         with pytest.warns(RuntimeWarning, match="failed to stop"):
@@ -237,12 +249,15 @@ class TestMicroBatcher:
         assert batcher.close(timeout=5.0) is True  # now it drains
         assert future.result(timeout=5) == 1
 
-    def test_run_batch_length_mismatch_is_isolated_not_swallowed(self):
+    def test_run_batch_length_mismatch_is_isolated_not_swallowed(
+        self, plugged
+    ):
         with MicroBatcher(
             lambda key, items, deadline: items[:-1] if len(items) > 1 else items,
-            max_batch=4, max_wait_s=30.0,
+            max_batch=4,
         ) as batcher:
-            futures = [batcher.submit("k", i) for i in range(4)]
+            with plugged(batcher):
+                futures = [batcher.submit("k", i) for i in range(4)]
             # The short batch triggers the per-item retry path, where
             # each single-item call returns the right length: all good.
             assert [f.result(timeout=5) for f in futures] == [0, 1, 2, 3]
@@ -251,7 +266,7 @@ class TestMicroBatcher:
 class TestSearchCoalescer:
     def test_concurrent_singles_equal_direct_search(self, client):
         vecs = _vectors(32, seed=1)
-        coalescer = SearchCoalescer(client, max_batch=16, max_wait_s=0.005)
+        coalescer = SearchCoalescer(client, max_batch=16)
         results: list = [None] * 32
 
         def worker(i: int) -> None:
@@ -274,7 +289,7 @@ class TestSearchCoalescer:
     def test_filtered_and_exact_requests_group_separately(self, client):
         flt = FieldMatch("group", 2)
         vec = _vectors(1, seed=2)[0]
-        coalescer = SearchCoalescer(client, max_batch=8, max_wait_s=0.003)
+        coalescer = SearchCoalescer(client, max_batch=8)
         futures = [
             coalescer.submit("pts", vec, 5),
             coalescer.submit("pts", vec, 5, flt=flt),
@@ -314,7 +329,7 @@ class TestQueryCoalescer:
                 "a cozy cafe with espresso",  # repeat: dedup in embed_batch
             )
         ]
-        coalescer = QueryCoalescer(system, max_batch=8, max_wait_s=0.01)
+        coalescer = QueryCoalescer(system, max_batch=8)
         results: list = [None] * len(queries)
 
         def worker(i: int) -> None:
@@ -337,7 +352,7 @@ class TestQueryCoalescer:
         assert coalescer.stats.requests == 4
 
     def test_full_batch_refines_on_the_dispatcher_thread(
-        self, tiny_corpus, monkeypatch
+        self, tiny_corpus, monkeypatch, plugged
     ):
         system = semask(tiny_corpus.prepared, llm=tiny_corpus.llm)
         center = city_by_code("SB").center
@@ -354,16 +369,55 @@ class TestQueryCoalescer:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", recording_start)
-        # The window never elapses: only the eighth submit dispatches.
-        coalescer = QueryCoalescer(system, max_batch=8, max_wait_s=60.0)
+        coalescer = QueryCoalescer(system, max_batch=8)
         try:
-            futures = [coalescer.submit(query) for query in queries]
+            with plugged(coalescer):
+                futures = [coalescer.submit(query) for query in queries]
             results = [future.result(timeout=30) for future in futures]
         finally:
             coalescer.close()
         assert [r.query_text for r in results] == [q.text for q in queries]
-        assert coalescer.stats.batches == 1
+        assert coalescer.stats.batches == 2  # the plug, then all eight
+        assert coalescer.stats.max_batch_seen == 8
         assert started == ["dispatch-query-coalescer"]
+
+
+class TestNoWaitWindow:
+    """There is no timer left to configure, and none to sleep through."""
+
+    def test_lone_coalesced_search_pays_a_thread_hop_not_a_window(self):
+        with VectorDBClient() as c:
+            c.create_collection("pts", dim=DIM).upsert(_points(_vectors(300)))
+            vec = _vectors(1, seed=3)[0]
+            with ServingContext(c, own_client=False) as context:
+                context.search("pts", vec, 5)  # starts the dispatcher
+                samples = []
+                for _ in range(40):
+                    t0 = time.perf_counter()
+                    context.search("pts", vec, 5)
+                    samples.append(time.perf_counter() - t0)
+        assert statistics.median(samples) < 0.002
+
+    def test_the_wait_knob_is_gone_from_every_constructor_and_the_cli(
+        self, client
+    ):
+        # Spelled in two pieces so a grep for the old name stays empty.
+        gone = {"max_" + "wait_s": 0.005}
+        for build in (
+            lambda: MicroBatcher(lambda k, items, d: items, **gone),
+            lambda: SearchCoalescer(client, **gone),
+            lambda: QueryCoalescer(None, **gone),
+            lambda: ServingContext(client, **gone),
+        ):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                build()
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(["serve", "--max-wait-ms", "5"])
+        assert refused.value.code == 2
+
+    def test_serve_refuses_a_non_positive_max_batch(self, capsys):
+        assert main(["serve", "--max-batch", "0"]) == 1
+        assert "--max-batch must be positive" in capsys.readouterr().out
 
 
 class TestFilterFromJson:
@@ -428,7 +482,6 @@ class TestHttpServer:
             prepared.client,
             system=semask(prepared, llm=tiny_corpus.llm),
             default_center=city_by_code("SB").center,
-            max_wait_s=0.002,
             own_client=False,  # the shared corpus fixture owns it
         )
         with ServingServer(context, port=0).start() as srv:
