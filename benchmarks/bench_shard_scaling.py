@@ -7,9 +7,8 @@ traversal with a predicate (Python-heavy). Hash-partitioned shards each
 see only ``matching / N`` candidates — under the threshold — so the
 whole batch runs as one exact BLAS matrix product per shard. This
 effect is machine-independent. The fan-out itself adds nothing: it is a
-loop over the shards on the calling thread (``bench_executors.py``
-measures the executors; a thread pool was never ahead of the loop, even
-on this batch-64 exact scoring).
+loop over the shards on the calling thread (measured: a thread pool
+was never ahead of the loop, even on this batch-64 exact scoring).
 
 The corpus is scaled down so the suite stays fast, with the brute-force
 threshold scaled down proportionally — the dispatch crossover is what is

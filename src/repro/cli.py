@@ -287,24 +287,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         depth = stats["records"] if stats else 0
         print(f"durable writes: wal fsync={args.wal}, "
               f"{depth} logged record(s) pending the next save")
-    if args.shard_workers == "process":
-        if getattr(collection, "n_shards", 1) > 1:
-            try:
-                collection.set_parallel("process")
-                print(f"process workers: {collection.n_shards} shards")
-            except OSError as exc:
-                print(f"process workers unavailable ({exc}); using threads")
-        else:
-            print("--shard-workers process needs a sharded collection "
-                  "(--shards > 1); using threads")
-
     factory = {"semask": semask, "o1": semask_o1, "em": semask_em}
     system = factory[args.variant](prepared, candidate_k=args.k)
     context = ServingContext(
         prepared.client,
         system=system,
         default_center=city_by_code(args.city).center,
-        coalesce=not args.no_coalesce,
         max_batch=args.max_batch,
         max_pending=args.max_pending or None,
     )
@@ -523,15 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="semask")
     p.add_argument("--k", type=int, default=10,
                    help="candidates fetched per query by the filtering stage")
-    p.add_argument("--no-coalesce", action="store_true",
-                   help="disable request coalescing (each request executes "
-                        "its own engine call)")
     p.add_argument("--max-batch", type=int, default=64,
                    help="largest coalesced batch per engine call")
-    p.add_argument("--shard-workers", choices=["thread", "process"],
-                   default="thread",
-                   help="fan-out executor for sharded collections; "
-                        "'process' keeps one worker process per shard")
     p.add_argument("--max-pending", type=int, default=0,
                    help="bound each coalescer queue; a full queue sheds "
                         "with 429 (0 = unbounded)")

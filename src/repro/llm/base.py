@@ -47,7 +47,6 @@ class ChatCompletion:
 
 
 @dataclass
-# reprolint: disable=RL06 -- in-process accounting object, never crosses a pickle boundary
 class UsageLedger:
     """Accumulates usage and cost across calls (per model).
 

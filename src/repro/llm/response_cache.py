@@ -29,7 +29,6 @@ def _cache_key(model: str, messages: list[ChatMessage]) -> str:
     return digest.hexdigest()
 
 
-# reprolint: disable=RL06 -- wraps a live client; cache + lock are process-local
 class CachingLLMClient(LLMClient):
     """Exact-prompt LRU cache over another LLM client."""
 

@@ -1,4 +1,4 @@
-"""Concurrent query serving: coalescing, HTTP endpoints, process workers.
+"""Concurrent query serving: coalescing, HTTP endpoints, replica routing.
 
 The online half of the system (see ``docs/serving.md``,
 ``docs/resilience.md`` and ``docs/architecture.md``):
@@ -8,10 +8,9 @@ batched engine calls (with bounded, load-shedding queues),
 (``repro serve``) with per-request deadline budgets and ``/metrics``,
 :mod:`~repro.serving.router` fronts N replicas with health-checked
 round-robin and read retries (``repro route``),
-:mod:`~repro.serving.metrics` holds the latency histograms,
-:mod:`~repro.serving.workers` scales GIL-bound filter evaluation with
-one worker process per shard, and :mod:`~repro.serving.bootstrap`
-cold-starts a server from a prepared-city snapshot.
+:mod:`~repro.serving.metrics` holds the latency histograms, and
+:mod:`~repro.serving.bootstrap` cold-starts a server from a
+prepared-city snapshot.
 """
 
 from repro.serving.batcher import (
@@ -35,7 +34,6 @@ from repro.serving.router import (
     RetryPolicy,
     RouterServer,
 )
-from repro.serving.workers import ProcessShardExecutor
 
 __all__ = [
     "Backend",
@@ -44,7 +42,6 @@ __all__ = [
     "HttpError",
     "LatencyHistogram",
     "MicroBatcher",
-    "ProcessShardExecutor",
     "QueryCoalescer",
     "ReplicaRouter",
     "RetryPolicy",

@@ -121,7 +121,6 @@ def _await_future(
         raise
 
 
-# reprolint: disable=RL06 -- process-local: lives inside a ServingContext, never pickled
 class MicroBatcher:
     """Queue-draining micro-batching over a ``run_batch`` callable.
 

@@ -109,6 +109,15 @@ class BadRequest(ValueError):
     """A client error that should surface as HTTP 400."""
 
 
+#: What ``/admin/save|load`` raise for a directory the client chose
+#: badly (a file, under a file, unreadable, uncreatable): a 400. Any
+#: other ``OSError`` (a full disk, an I/O error) is the server's, a 500.
+_UNUSABLE_PATH = (
+    FileNotFoundError, NotADirectoryError, FileExistsError,
+    IsADirectoryError, PermissionError,
+)
+
+
 class HttpError(ReproError):
     """An error carrying its own HTTP status (411, 413, ...)."""
 
@@ -498,7 +507,6 @@ class ServingContext:
         self.close()
 
 
-# reprolint: disable=RL06 -- a live socket server is never pickled
 class _TrackingHTTPServer(ThreadingHTTPServer):
     """``ThreadingHTTPServer`` that counts in-flight request handlers.
 
@@ -847,23 +855,29 @@ class _Handler(_JsonHandler):
         directory = str(body["directory"])
         if not directory:  # Path("") is the server's working directory
             raise BadRequest("'directory' must be a non-empty path")
-        return 200, self.context.save_snapshot(
-            str(body["collection"]), directory
-        )
+        try:
+            return 200, self.context.save_snapshot(
+                str(body["collection"]), directory
+            )
+        except _UNUSABLE_PATH as exc:
+            raise BadRequest(f"cannot save to {directory!r}: {exc}") from exc
 
     def _post_load(self) -> tuple[int, dict]:
         body = self._read_body()
         if "directory" not in body:
             raise BadRequest("missing field 'directory'")
+        directory = str(body["directory"])
         wal = body.get("wal")
-        return 200, self.context.load_snapshot(
-            str(body["directory"]),
-            mmap=bool(body.get("mmap", False)),
-            wal=str(wal) if wal is not None else None,
-        )
+        try:
+            return 200, self.context.load_snapshot(
+                directory,
+                mmap=bool(body.get("mmap", False)),
+                wal=str(wal) if wal is not None else None,
+            )
+        except _UNUSABLE_PATH as exc:
+            raise BadRequest(f"cannot load {directory!r}: {exc}") from exc
 
 
-# reprolint: disable=RL06 -- owns the server thread; process-local by construction
 class HttpService:
     """One bound ``_TrackingHTTPServer`` and its lifecycle.
 

@@ -90,7 +90,6 @@ class LatencyHistogram:
         }
 
 
-# reprolint: disable=RL06 -- process-local: lives inside a ServingContext, never pickled
 class ServingMetrics:
     """Thread-safe request counters + per-route latency histograms."""
 

@@ -115,7 +115,6 @@ class Backend:
         }
 
 
-# reprolint: disable=RL06 -- holds a lock and a prober thread; process-local
 class ReplicaRouter:
     """Round-robin with ejection/half-open health over serving replicas.
 

@@ -119,7 +119,6 @@ _CANNED_500 = (
 )
 
 
-# reprolint: disable=RL06 -- test harness: holds sockets/threads, never pickled
 class ChaosProxy:
     """A TCP proxy whose failure modes are dialed in at runtime.
 

@@ -31,9 +31,8 @@ class VectorDBClient:
     """Manages named collections, in the style of a Qdrant client.
 
     Owns its collections' lifecycle: dropping a collection (or exiting
-    the client's ``with`` block) closes it, flushing shard WALs and
-    releasing the per-shard worker processes of ``parallel="process"``
-    instead of leaking them until garbage collection.
+    the client's ``with`` block) closes it, flushing and releasing its
+    write-ahead logs instead of leaking them until garbage collection.
     """
 
     def __init__(self) -> None:
@@ -127,8 +126,8 @@ class VectorDBClient:
     def delete_collection(self, name: str) -> None:
         """Drop a collection and close it (missing name raises).
 
-        Closing matters for attached WALs and for ``parallel="process"``
-        workers, which would otherwise outlive the drop.
+        Closing matters for attached WALs, whose file handles and
+        flusher threads would otherwise outlive the drop.
         """
         collection = self._collections.pop(name, None)
         if collection is None:
@@ -221,8 +220,7 @@ class VectorDBClient:
         """JSON-ready summary of one collection.
 
         Returns name, point count, dim, metric, shard count (1 for a
-        plain collection), the active shard executor kind (``None`` when
-        unsharded), whether the HNSW graph(s) are built, the indexed
+        plain collection), whether the HNSW graph(s) are built, the indexed
         payload fields, and write-ahead-log counters (``None`` when
         durability is off) — what the serving layer's ``/collections``
         endpoint and the CLI report. Raises
@@ -235,7 +233,6 @@ class VectorDBClient:
             "dim": collection.dim,
             "metric": collection.metric.value,
             "shards": getattr(collection, "n_shards", 1),
-            "parallel": getattr(collection, "parallel", None),
             "quantize": collection.quantize,
             "hnsw_built": collection.hnsw_is_built,
             "indexed_payload_fields": sorted(

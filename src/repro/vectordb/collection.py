@@ -103,9 +103,9 @@ class HnswConfig:
 class SearchParams:
     """What one vector search asks for, besides its query vectors.
 
-    The value that travels socket → coalescer → client → shard fan-out
-    → shard worker. Every ``search`` / ``search_batch`` above the index
-    kernels takes it as ``k`` plus keywords, or ready-made (:meth:`of`).
+    The value that travels socket → coalescer → client → shard fan-out.
+    Every ``search`` / ``search_batch`` above the index kernels takes it
+    as ``k`` plus keywords, or ready-made (:meth:`of`).
 
     * ``k`` — hits wanted; ``0`` returns none, more than the (matching)
       population truncates to it.
@@ -119,9 +119,9 @@ class SearchParams:
 
     Out-of-range fields raise ``ValueError`` here and nowhere else.
     Equal params on one collection may share a batched call, so the
-    value hashes whenever ``flt`` does; it pickles for the worker pipe.
-    A ``deadline`` is not a field: it is one caller's, not part of what
-    makes two searches the same search.
+    value hashes whenever ``flt`` does. A ``deadline`` is not a field:
+    it is one caller's, not part of what makes two searches the same
+    search.
     """
 
     k: int
@@ -224,8 +224,6 @@ class Collection:
         self._sq8: SQ8Store | None = (
             SQ8Store(dim) if self._quantize else None
         )
-        if self._quantize:
-            self._flat.pickle_by_handle = True
 
     @property
     def quantize(self) -> str | None:
@@ -236,24 +234,6 @@ class Collection:
     def sq8_store(self) -> SQ8Store | None:
         """The quantized tier (``None`` when ``quantize`` is off)."""
         return self._sq8
-
-    def __getstate__(self) -> dict[str, Any]:
-        """Pickle without the lock or the WAL handle.
-
-        Collections travel to worker processes (``parallel="process"``
-        shard replicas, build pools). Locks do not pickle, and — more
-        importantly — a replica must **never** carry a live WAL: the
-        parent already logged each write before mirroring it, so a
-        logging replica would double-log every mirrored write.
-        """
-        state = self.__dict__.copy()
-        state["_wal"] = None
-        state["_write_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._write_lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -543,7 +523,6 @@ class Collection:
                     ef_construction=cfg.ef_construction, seed=cfg.seed,
                     dim=self.dim,
                 )
-                index.pickle_by_handle = self._quantize is not None
                 self._hnsw = index
             elif len(index) < len(self._ids):
                 for node in range(len(index), len(self._ids)):
@@ -574,7 +553,6 @@ class Collection:
                     f"attached graph has {len(index)} nodes, collection has "
                     f"only {len(self._ids)} points"
                 )
-            index.pickle_by_handle = self._quantize is not None
             self._hnsw = index
 
     def attach_sq8(self, store: SQ8Store) -> None:
@@ -601,13 +579,6 @@ class Collection:
                 )
             self._quantize = "sq8"
             self._sq8 = store
-            # Replicas of a quantized collection ship the mmap handle of
-            # the float32 matrix instead of its bytes (see FlatIndex) —
-            # from both the flat tier and any already-attached graph,
-            # which share the same storage.
-            self._flat.pickle_by_handle = True
-            if self._hnsw is not None:
-                self._hnsw.pickle_by_handle = True
 
     def _ensure_sq8(self) -> SQ8Store:
         """The quantized tier, synced to cover every inserted row."""
@@ -863,8 +834,6 @@ class Collection:
                          quantize=quantize)
         if vectors.shape[0]:
             collection._flat = FlatIndex.from_matrix(vectors, metric=metric)
-            if collection._quantize:
-                collection._flat.pickle_by_handle = True
         collection._ids = list(ids)
         collection._payloads = list(payloads)
         collection._id_to_node = {

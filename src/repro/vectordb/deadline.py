@@ -10,11 +10,8 @@ worker to compute an answer nobody is waiting for.
 
 The type lives in :mod:`repro.vectordb` (the bottom of the dependency
 stack) so both the engine and the serving layer can use it without a
-circular import. It is a frozen dataclass over one float, so it pickles
-and crosses the :class:`~repro.serving.workers.ProcessShardExecutor`
-pipe for free. ``time.monotonic`` is ``CLOCK_MONOTONIC`` on Linux —
-boot-relative and shared by every process on the box — so a deadline
-minted in the server process is still meaningful inside a shard worker.
+circular import. It is a frozen dataclass over one float on the
+``time.monotonic`` clock.
 
 Deadlines only ever *shorten* effective work; they are checked at choke
 points, not preemptively — a shard that is already inside a numpy kernel

@@ -21,50 +21,6 @@ from repro.vectordb.contracts import array_contract
 from repro.vectordb.distance import Metric, pairwise_similarity, similarity
 
 
-def mapped_pickle_handle(
-    array: np.ndarray,
-) -> tuple[str, str, tuple[int, ...], int] | None:
-    """Pickle-by-reference handle for a read-only file-backed memmap.
-
-    ``pickle`` serializes ``np.memmap`` *by value* — a multi-GB mapped
-    matrix materializes into the pickle stream and again in every
-    process that loads it, defeating the point of mmap-backed storage.
-    For arrays that are plain read-only maps of a snapshot file, the
-    (path, dtype, shape, offset) tuple is a complete description;
-    :func:`remap_from_handle` re-opens the same pages in the receiving
-    process. Returns None for anything else (heap arrays, writable or
-    anonymous maps, sliced views whose offset no longer matches).
-    """
-    if not isinstance(array, np.memmap):
-        return None
-    filename = getattr(array, "filename", None)
-    offset = getattr(array, "offset", None)
-    if filename is None or offset is None or array.flags.writeable:
-        return None
-    if not array.flags.c_contiguous:
-        return None
-    base = array
-    while isinstance(getattr(base, "base", None), np.ndarray):
-        base = base.base
-    # A view that starts mid-buffer inherits the *parent's* offset
-    # attribute, which would remap the wrong bytes — only hand out a
-    # handle when this array starts exactly at its recorded offset.
-    if isinstance(base, np.memmap) and base.ctypes.data != array.ctypes.data:
-        return None
-    return (str(filename), str(array.dtype), tuple(array.shape), int(offset))
-
-
-def remap_from_handle(
-    handle: tuple[str, str, tuple[int, ...], int],
-) -> np.ndarray:
-    """Re-open a :func:`mapped_pickle_handle` as a read-only memmap."""
-    path, dtype, shape, offset = handle
-    return np.memmap(
-        path, dtype=np.dtype(dtype), mode="r", shape=tuple(shape),
-        offset=int(offset),
-    )
-
-
 class FlatIndex:
     """Exact kNN over a dense matrix; O(n·d) per query."""
 
@@ -76,32 +32,9 @@ class FlatIndex:
         self._metric = metric
         self._vectors = np.zeros((initial_capacity, dim), dtype=np.float32)
         self._count = 0
-        #: When set (quantized collections do), pickling replaces an
-        #: mmap-backed matrix with a (path, dtype, shape, offset) handle
-        #: so shard-replica workers re-map the snapshot file instead of
-        #: receiving a full float32 copy through the pipe. Off by
-        #: default: an unquantized parent may legitimately outlive the
-        #: snapshot file it mapped (the inode keeps the pages alive),
-        #: and a re-mapping replica would not.
-        self.pickle_by_handle = False
 
     def __len__(self) -> int:
         return self._count
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        if self.pickle_by_handle:
-            handle = mapped_pickle_handle(self._vectors[: self._count])
-            if handle is not None:
-                state["_vectors"] = None
-                state["_vectors_handle"] = handle
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        handle = state.pop("_vectors_handle", None)
-        self.__dict__.update(state)
-        if handle is not None:
-            self._vectors = remap_from_handle(handle)
 
     @classmethod
     @array_contract(matrix="n,d")

@@ -62,7 +62,6 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.vectordb.contracts import array_contract
-from repro.vectordb.flat import mapped_pickle_handle, remap_from_handle
 
 
 class HNSWIndex:
@@ -108,12 +107,6 @@ class HNSWIndex:
         # Thread-local so concurrent searches stay as safe as the per-call
         # set they replaced (concurrent add() is unsupported, as before).
         self._visited_tls = threading.local()
-        #: When set (quantized collections do), pickling replaces an
-        #: mmap-backed vector matrix with its (path, dtype, shape, offset)
-        #: handle — the graph shares storage with the collection's
-        #: FlatIndex, and shipping both by value would put *two* float32
-        #: copies of the corpus in every shard-replica pickle.
-        self.pickle_by_handle = False
 
     def __len__(self) -> int:
         return self._count
@@ -123,21 +116,11 @@ class HNSWIndex:
         # and cannot (and need not) cross process boundaries.
         state = self.__dict__.copy()
         del state["_visited_tls"]
-        if state.get("pickle_by_handle"):
-            handle = mapped_pickle_handle(self._vectors[: self._count])
-            if handle is not None:
-                state["_vectors"] = None
-                state["_vectors_handle"] = handle
         return state
 
     def __setstate__(self, state: dict) -> None:
-        handle = state.pop("_vectors_handle", None)
         self.__dict__.update(state)
-        if handle is not None:
-            self._vectors = remap_from_handle(handle)
         self._visited_tls = threading.local()
-        # Older pickles predate the handle flag.
-        self.__dict__.setdefault("pickle_by_handle", False)
 
     @property
     def dim(self) -> int:

@@ -419,6 +419,10 @@ def load_collection(
     ]
     collection: AnyCollection = shards[0]
     if shard_dirs != [directory]:  # the sharded layout, for any count
+        if "order" not in meta:
+            raise CollectionError(
+                f"{directory / _META_FILE} lacks the key 'order'"
+            )
         collection = ShardedCollection.from_shards(
             name=meta["name"],
             shards=shards,
@@ -706,6 +710,10 @@ def _meta_dict(
     return meta
 
 
+#: The keys every meta carries, which :func:`_read_meta` insists on.
+_META_KEYS = frozenset(_meta_dict("", 0, "", 0, {}, []))
+
+
 def _sq8_checksum(
     codes: np.ndarray, mins: np.ndarray, steps: np.ndarray
 ) -> int:
@@ -774,7 +782,12 @@ def _read_meta(directory: Path) -> dict:
     meta_path = directory / _META_FILE
     if not meta_path.exists():
         raise CollectionError(f"no collection snapshot at {directory}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise CollectionError(f"{meta_path} is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CollectionError(f"{meta_path} does not hold a JSON object")
     found = meta.get("schema", 1)  # v1 metas predate the key
     if found not in READABLE_SCHEMAS:
         raise CollectionError(
@@ -782,6 +795,8 @@ def _read_meta(directory: Path) -> dict:
             f"reads schemas {READABLE_SCHEMAS}. `repro snapshot migrate` at "
             f"commit {LAST_LEGACY_READER} is the last that upgrades it"
         )
+    if missing := sorted(_META_KEYS - meta.keys()):
+        raise CollectionError(f"{meta_path} lacks the keys {missing}")
     return meta
 
 

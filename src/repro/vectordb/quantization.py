@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.vectordb.contracts import array_contract
 from repro.vectordb.distance import Metric, sq8_energies, sq8_similarity
-from repro.vectordb.flat import mapped_pickle_handle, remap_from_handle
 
 #: Supported values for the ``quantize=`` collection option.
 QUANTIZE_KINDS = ("sq8",)
@@ -360,34 +359,3 @@ class SQ8Store:
         store._state = _TierState(codebook, adopted, codes.shape[0])
         store._fitted = codes.shape[0]
         return store
-
-    def __getstate__(self) -> dict:
-        payload: dict = {"dim": self._dim, "fitted": self._fitted}
-        state = self._state
-        if state is not None:
-            handle = mapped_pickle_handle(state.codes)
-            payload["mins"] = state.codebook.mins
-            payload["steps"] = state.codebook.steps
-            payload["codes_handle"] = handle
-            if handle is None:
-                payload["codes"] = np.ascontiguousarray(
-                    state.codes, dtype=np.uint8
-                )
-        return payload
-
-    def __setstate__(self, payload: dict) -> None:
-        self._dim = payload["dim"]
-        self._lock = threading.Lock()
-        self._state = None
-        self._fitted = payload["fitted"]
-        if "mins" in payload:
-            handle = payload.get("codes_handle")
-            codes = (
-                remap_from_handle(handle)
-                if handle is not None
-                else payload["codes"]
-            )
-            codebook = SQ8Codebook(payload["mins"], payload["steps"])
-            frozen = codes.view()
-            frozen.flags.writeable = False
-            self._state = _TierState(codebook, frozen, codes.shape[0])

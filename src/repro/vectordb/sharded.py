@@ -8,17 +8,12 @@ by a stable hash of its id (:func:`shard_for`). It implements the full
 the filtering stage, the client facade, and persistence all work unchanged
 over either backend.
 
-Searches fan out across shards through a pluggable *executor*. The
-default (``parallel="thread"``: in this process, on the calling thread)
-calls each shard in turn — measured, four Python-bound shard calls on
-four threads only convoy on the GIL — and the per-shard top-k lists are
-merged into the exact global top-k. ``parallel="process"`` (or
-:meth:`ShardedCollection.set_parallel`) swaps in
-:class:`repro.serving.workers.ProcessShardExecutor`, which keeps one
-long-lived worker process per shard so searches from *concurrent
-callers* overlap across interpreters; writes are applied locally and
-mirrored to the workers so both copies stay identical. Offline index
-builds fan out too, but on a *process* pool:
+Searches fan out across shards as a loop on the calling thread —
+per-shard searches are Python-bound, so threads would only queue on the
+GIL; reads scale past one interpreter as ``repro serve`` replicas behind
+``repro route`` (docs/serving.md, "Reads across cores") — and the
+per-shard top-k lists are merged into the exact global top-k. Offline
+index builds do fan out, on a *process* pool:
 :meth:`ShardedCollection.build_hnsw` builds each shard's HNSW graph in
 a worker process (graph construction is Python-heavy, so threads would
 serialize on the GIL) and attaches the pickled results — data
@@ -106,46 +101,6 @@ def _build_shard_graph(
     )
 
 
-class InProcessShardExecutor:
-    """Default fan-out executor: each shard in turn, on the caller's thread.
-
-    The executor seam: :class:`ShardedCollection` routes every fan-out
-    read through :meth:`run` and every write through :meth:`mirror_write`,
-    so alternative executors (e.g. the process-per-shard
-    :class:`repro.serving.workers.ProcessShardExecutor`) can swap in
-    without the collection knowing how calls reach its shards. A loop,
-    not a thread pool: per-shard searches are Python-bound, so threads
-    only queue on the GIL (``benchmarks/bench_executors.py``); overlap
-    across concurrent callers is what the process executor exists for.
-    """
-
-    kind = "thread"
-
-    def __init__(self, shards: Sequence[Collection]) -> None:
-        self._shards = list(shards)
-
-    def run(
-        self, indices: Sequence[int], method: str, *args: Any, **kwargs: Any
-    ) -> list[Any]:
-        """Call ``method(*args, **kwargs)`` on each indexed shard.
-
-        Returns results in ``indices`` order. Exceptions from any shard
-        propagate to the caller, and later shards are not called.
-        """
-        return [
-            getattr(self._shards[i], method)(*args, **kwargs)
-            for i in indices
-        ]
-
-    def mirror_write(
-        self, index: int, method: str, *args: Any, **kwargs: Any
-    ) -> None:
-        """No-op: reads go to the parent's shards directly."""
-
-    def close(self, wait: bool = False) -> None:
-        """No-op: nothing to release."""
-
-
 def shard_for(point_id: str, n_shards: int) -> int:
     """Stable shard assignment for ``point_id``.
 
@@ -168,7 +123,6 @@ class ShardedCollection:
         metric: Metric = Metric.COSINE,
         hnsw: HnswConfig | None = None,
         shards: int = 2,
-        parallel: str = "thread",
         quantize: str | None = None,
     ) -> None:
         if shards <= 0:
@@ -187,7 +141,6 @@ class ShardedCollection:
                 )
                 for i in range(shards)
             ],
-            parallel=parallel,
         )
 
     def _init_fields(
@@ -196,7 +149,6 @@ class ShardedCollection:
         metric: Metric,
         hnsw: HnswConfig,
         shards: list[Collection],
-        parallel: str = "thread",
     ) -> None:
         if not name:
             raise CollectionError("collection name must be non-empty")
@@ -211,38 +163,6 @@ class ShardedCollection:
         # and *every* shard atomically — per-shard locks alone would let
         # an upsert land in shard 1 after shard 0 was captured.
         self._write_lock = threading.RLock()
-        self._executor = self._make_executor(parallel)
-
-    def __getstate__(self) -> dict[str, Any]:
-        """Pickle without the lock or the fan-out executor.
-
-        A pickled sharded collection (snapshot fixtures, potential worker
-        replicas) must not carry a live lock or a pool of worker
-        processes; the unpickled copy gets a fresh lock and the default
-        in-process executor.
-        """
-        state = self.__dict__.copy()
-        state["_write_lock"] = None
-        state["_executor"] = None
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._write_lock = threading.RLock()
-        self._executor = self._make_executor("thread")
-
-    def _make_executor(self, kind: str):
-        if kind == "thread":
-            return InProcessShardExecutor(self._shards)
-        if kind == "process":
-            # Imported lazily: the serving layer depends on vectordb, not
-            # the other way around, and the process executor is opt-in.
-            from repro.serving.workers import ProcessShardExecutor
-
-            return ProcessShardExecutor(self._shards, self.name)
-        raise CollectionError(
-            f"unknown shard executor {kind!r}; use 'thread' or 'process'"
-        )
 
     # ------------------------------------------------------------------
     # introspection
@@ -270,38 +190,6 @@ class ShardedCollection:
     def n_shards(self) -> int:
         """Number of shards."""
         return len(self._shards)
-
-    @property
-    def parallel(self) -> str:
-        """The active fan-out executor kind: ``"thread"`` or ``"process"``."""
-        return self._executor.kind
-
-    def set_parallel(self, kind: str) -> None:
-        """Swap the fan-out executor (``"thread"`` or ``"process"``).
-
-        ``"process"`` installs
-        :class:`repro.serving.workers.ProcessShardExecutor`: one
-        long-lived worker process per shard, each holding a replica of
-        its shard, so searches from concurrent callers stop queueing on
-        one GIL. Writes after the swap are applied to the parent's
-        shards *and* mirrored to the workers, so reads stay equivalent.
-        Switching back to ``"thread"`` discards the workers; the parent's
-        shards were kept authoritative throughout, so no state is lost.
-
-        Raises :class:`~repro.errors.CollectionError` for unknown kinds,
-        and ``OSError`` if worker processes cannot be started (e.g. a
-        sandbox that forbids subprocesses) — the previous executor is
-        still in place in that case. No-op if ``kind`` already active.
-        """
-        with self._write_lock:
-            if kind == self._executor.kind:
-                return
-            replacement = self._make_executor(kind)
-            old, self._executor = self._executor, replacement
-        # The old executor's close() joins worker processes; do that
-        # outside the lock so in-flight writes are not stalled behind
-        # the teardown.
-        old.close()
 
     @property
     def quantize(self) -> str | None:
@@ -345,63 +233,47 @@ class ShardedCollection:
         are allowed for known ids, vector replacement raises. Returns the
         number of points inserted. Points are bucketed so each shard sees
         one batch, keeping bulk ingest at one upsert call per shard.
-
-        Under ``parallel="process"`` each successfully applied bucket is
-        mirrored to that shard's worker replica. A bucket that *raises*
-        mid-way stays partially applied on the parent (as with
-        :meth:`Collection.upsert`) but is not mirrored — after such a
-        failure the replicas of the raising shard may trail the parent;
-        ``set_parallel("thread")`` followed by ``set_parallel("process")``
-        rebuilds them from the authoritative parent state.
         """
+        # Drained before the lock is taken: a generator's own code (it
+        # may write to this collection) never runs under it, and what is
+        # a new id is decided below against a table no writer can touch.
+        points = list(points)
         n = len(self._shards)
-        buckets: dict[int, list[PointStruct]] = {}
-        arrivals: list[tuple[str, int]] = []  # first sight of unknown ids
-        pending: set[str] = set()
-        for point in points:
-            index = shard_for(point.id, n)
-            buckets.setdefault(index, []).append(point)
-            if point.id not in self._id_to_shard and point.id not in pending:
-                arrivals.append((point.id, index))
-                pending.add(point.id)
         inserted = 0
         with self._write_lock:
+            buckets: dict[int, list[PointStruct]] = {}
+            arrivals: dict[str, int] = {}  # first sight of unknown ids
+            for point in points:
+                index = shard_for(point.id, n)
+                buckets.setdefault(index, []).append(point)
+                if point.id not in self._id_to_shard:
+                    arrivals.setdefault(point.id, index)
             try:
                 for index, bucket in buckets.items():
                     inserted += self._shards[index].upsert(bucket)
-                    # Keep process-executor replicas identical: the same
-                    # bucket lands in the worker only after the parent copy
-                    # accepted it, so a raising bucket is never
-                    # half-mirrored. Replicas never carry a WAL
-                    # (Collection.__getstate__ strips it), so mirrored
-                    # writes are not logged twice.
-                    self._executor.mirror_write(index, "upsert", bucket)
             except BaseException:
                 # Like Collection.upsert, a batch that raises mid-way stays
                 # partially applied; reconcile the order/routing tables
                 # against the shards' actual state before propagating.
                 applied = {
                     index: set(self._shards[index].point_ids())
-                    for index in {index for _, index in arrivals}
+                    for index in set(arrivals.values())
                 }
-                for point_id, index in arrivals:
+                for point_id, index in arrivals.items():
                     if point_id in applied[index]:
                         self._id_to_shard[point_id] = index
                         self._order.append(point_id)
                 raise
-            for point_id, index in arrivals:  # success: every arrival landed
-                self._id_to_shard[point_id] = index
-                self._order.append(point_id)
+            # success: every arrival landed
+            self._id_to_shard.update(arrivals)
+            self._order.extend(arrivals)
         return inserted
 
     def create_payload_index(self, field: str) -> None:
         """Build a hash index over ``field`` on every shard."""
         with self._write_lock:
-            for index, shard in enumerate(self._shards):
+            for shard in self._shards:
                 shard.create_payload_index(field)
-                self._executor.mirror_write(
-                    index, "create_payload_index", field
-                )
 
     @property
     def hnsw_is_built(self) -> bool:
@@ -461,39 +333,15 @@ class ShardedCollection:
             if graphs is not None:
                 for shard, graph in zip(pending, graphs):
                     shard.attach_hnsw(graph)
-                self._mirror_graphs(pending)
                 return
         for shard in pending:
             shard.build_hnsw(force=force)
-        self._mirror_graphs(pending)
 
-    def _mirror_graphs(self, built: Sequence[Collection]) -> None:
-        """Ship freshly built graphs to process-executor replicas.
+    def close(self) -> None:
+        """Flush and close any shard write-ahead logs (idempotent).
 
-        Attaching the parent's pickled graph is cheaper than having each
-        worker rebuild its own, and guarantees both copies answer
-        approximate searches identically.
+        Reads still answer afterwards.
         """
-        shard_index = {id(shard): i for i, shard in enumerate(self._shards)}
-        for shard in built:
-            self._executor.mirror_write(
-                shard_index[id(shard)], "attach_hnsw", shard.hnsw_index
-            )
-
-    def close(self, wait: bool = False) -> None:
-        """Release the fan-out executor and shard WALs (idempotent).
-
-        Under the default executor every read still answers from the
-        parent's shards afterwards; under ``parallel="process"`` the
-        closed executor refuses reads, and long-lived processes that
-        drop a sharded collection must close it
-        (``VectorDBClient.delete_collection`` and the client's
-        context-manager exit do) rather than wait for GC to reap the
-        worker processes. ``wait=True`` blocks until the workers have
-        exited. Any write-ahead logs attached to the shards are flushed
-        and closed.
-        """
-        self._executor.close(wait=wait)
         for shard in self._shards:
             shard.close()
 
@@ -522,18 +370,13 @@ class ShardedCollection:
     def set_payload(self, point_id: str, payload: dict[str, Any]) -> None:
         """Merge ``payload`` into an existing point's payload.
 
-        Raises :class:`~repro.errors.PointNotFound` for unknown ids;
-        under ``parallel="process"`` the update is mirrored to the
-        owning shard's worker replica before returning.
+        Raises :class:`~repro.errors.PointNotFound` for unknown ids.
         """
         with self._write_lock:
             index = self._id_to_shard.get(point_id)
             if index is None:
                 raise PointNotFound(f"point {point_id!r} not in {self.name!r}")
             self._shards[index].set_payload(point_id, payload)
-            self._executor.mirror_write(
-                index, "set_payload", point_id, payload
-            )
 
     # ------------------------------------------------------------------
     # reads
@@ -554,12 +397,7 @@ class ShardedCollection:
         return self._owning_shard(point_id).point_vector(point_id)
 
     def count(self, flt: Filter | None = None) -> int:
-        """Points matching ``flt``; each shard narrows via its indexes.
-
-        Filtered counts fan out through the executor like searches do —
-        filter evaluation is the whole cost of a count, so it benefits
-        from process workers the same way.
-        """
+        """Points matching ``flt``; each shard narrows via its indexes."""
         if flt is None:
             return len(self._order)
         return sum(self._fan_out("count", flt))
@@ -587,8 +425,8 @@ class ShardedCollection:
         ``deadline`` raises :class:`~repro.errors.DeadlineExceeded`
         *before* the fan-out is dispatched — no shard sees over-budget
         work — and is forwarded to every shard for their own
-        choke-point checks, so in-process a budget spent by one shard
-        stops the loop before the next.
+        choke-point checks, so a budget spent by one shard stops the
+        loop before the next.
         A batch of one: ``search_batch(vector[None], ...)[0]``.
         """
         query = np.asarray(vector, dtype=np.float32)
@@ -608,9 +446,8 @@ class ShardedCollection:
     ) -> list[list[SearchHit]]:
         """The fan-out read path: one dispatch, per-query exact merges.
 
-        Every shard receives the same :class:`SearchParams` value (by
-        call or over the worker pipe) and the same ``deadline``, which
-        follows the :meth:`search` contract.
+        Every shard receives the same :class:`SearchParams` value and
+        the same ``deadline``, which follows the :meth:`search` contract.
         """
         params = SearchParams.of(k, knobs)
         if deadline is not None:
@@ -692,12 +529,15 @@ class ShardedCollection:
             raise PointNotFound(f"point {point_id!r} not in {self.name!r}")
         return self._shards[index]
 
-    def _fan_out(self, method: str, *args: Any, **kwargs: Any) -> list[Any]:
-        """Run ``method`` over every non-empty shard via the executor."""
-        live = [i for i, shard in enumerate(self._shards) if len(shard)]
-        if not live:
-            return []
-        return self._executor.run(live, method, *args, **kwargs)
+    def _fan_out(self, method: str, *args: Any) -> list[Any]:
+        """Call ``method`` on every non-empty shard, in shard order.
+
+        An exception from a shard propagates; later shards are not called.
+        """
+        return [
+            getattr(shard, method)(*args)
+            for shard in self._shards if len(shard)
+        ]
 
 
 def _merge_top_k(

@@ -303,9 +303,8 @@ class WriteAheadLog:
     lock (the owning collection additionally holds its write lock across
     apply + append, which is what makes snapshot views consistent with
     log offsets). Opening repairs a torn tail in place. The log object
-    deliberately does not pickle — worker-process shard replicas
-    (``parallel="process"``) receive collections whose WAL is stripped,
-    so mirrored writes are never logged twice.
+    deliberately does not pickle: it owns an open file and a flusher
+    thread, and a copy in another process would log over the original.
     """
 
     def __init__(self, path: str | Path, fsync: str = "batch") -> None:
@@ -386,8 +385,8 @@ class WriteAheadLog:
 
     def __getstate__(self) -> None:  # pragma: no cover - defensive
         raise TypeError(
-            "WriteAheadLog does not pickle: worker replicas must not log "
-            "mirrored writes (strip the WAL before shipping a collection)"
+            "WriteAheadLog does not pickle: it owns an open file and a "
+            "flusher thread (a copy would log over the original)"
         )
 
     # -- introspection -------------------------------------------------

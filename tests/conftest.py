@@ -129,9 +129,9 @@ def _live_nondaemon_threads() -> set[threading.Thread]:
 def _thread_and_process_leak_guard():
     """Fail the session if tests leak non-daemon threads or child processes.
 
-    Executors (`ProcessShardExecutor` workers are child processes, its
-    reply pool non-daemon threads) must be closed by the tests that
-    open them; a leak here means some test forgot, and
+    Whatever starts them (the HNSW build pool's workers are child
+    processes, servers and WAL flushers own threads) must be closed by
+    the tests that open it; a leak here means some test forgot, and
     every later test pays for it (fork-safety of build pools, slow
     interpreter shutdown, orphaned workers).
     """

@@ -1,14 +1,11 @@
 """Targeted coverage for remaining edges: ledger math, demo render edges,
-run_table2 wiring, hours weekend logic, summarizer cost accounting,
-quantized worker paths under the leak guard."""
+run_table2 wiring, hours weekend logic, summarizer cost accounting."""
 
 from __future__ import annotations
 
 import json
-import pickle
 import random
 
-import numpy as np
 import pytest
 
 from repro.core.results import QueryResult, QueryTimings
@@ -140,70 +137,3 @@ class TestSummarizationCostStory:
             ledger.cost_usd["gpt-3.5-turbo"] / ledger.calls["gpt-3.5-turbo"]
         )
         assert per_call < 0.001  # well under a tenth of a cent per POI
-
-
-class TestQuantizedWorkerPaths:
-    """Quantized shard workers under the session leak guard.
-
-    The autouse guard in conftest fails the session if these leave a
-    worker process or non-daemon thread behind; the pickle probe fails
-    the test if a shard replica ever shares (or re-materializes) the
-    parent's float32 buffer instead of re-mapping the snapshot.
-    """
-
-    DIM = 12
-    N = 200
-
-    def _quantized_sharded(self, tmp_path):
-        from repro.vectordb.collection import PointStruct
-        from repro.vectordb.persistence import load_collection, save_collection
-        from repro.vectordb.sharded import ShardedCollection
-
-        rng = np.random.default_rng(7)
-        vecs = rng.standard_normal((self.N, self.DIM)).astype(np.float32)
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        sharded = ShardedCollection(
-            "misc-sq8", self.DIM, shards=2, quantize="sq8"
-        )
-        sharded.upsert(
-            PointStruct(id=f"p{i}", vector=vecs[i]) for i in range(self.N)
-        )
-        sharded.build_hnsw()
-        snap = tmp_path / "snap"
-        save_collection(sharded, snap)
-        sharded.close()
-        return load_collection(snap, mmap=True), vecs
-
-    def test_process_workers_quantized_search(self, tmp_path, memwatch):
-        loaded, vecs = self._quantized_sharded(tmp_path)
-        assert loaded.quantize == "sq8"
-        threaded = [h.id for h in loaded.search(vecs[3], 5)]
-        try:
-            loaded.set_parallel("process")
-        except OSError as exc:  # pragma: no cover - sandboxed CI only
-            loaded.close()
-            pytest.skip(f"process workers unavailable: {exc}")
-        try:
-            assert [h.id for h in loaded.search(vecs[3], 5)] == threaded
-        finally:
-            loaded.close(wait=True)
-
-    def test_shard_replica_pickle_stays_mapped(self, tmp_path):
-        from repro.testing.memwatch import MemWatcher
-
-        loaded, vecs = self._quantized_sharded(tmp_path)
-        try:
-            for shard in loaded.shard_collections:
-                clone = pickle.loads(pickle.dumps(shard))
-                assert isinstance(clone._flat._vectors, np.memmap)
-                MemWatcher.assert_distinct_memory(
-                    clone.sq8_store.codes(),
-                    np.asarray(clone._flat.matrix()),
-                    "replica codes vs float32 matrix",
-                )
-                assert not np.shares_memory(
-                    np.asarray(clone._flat.matrix()),
-                    np.asarray(shard._flat.matrix()),
-                )  # distinct mappings of the same file, not one heap copy
-        finally:
-            loaded.close()

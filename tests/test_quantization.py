@@ -16,24 +16,18 @@ Locks down the sq8 tier's acceptance surface:
   through save → ``mmap=True`` load → WAL replay;
 * schema-v4 corruption fuzzing: a truncated or bit-flipped
   ``codes.npy``/``codebook.npz`` degrades the load to the float32 tier
-  with a ``RuntimeWarning`` — never wrong results, never a failed load;
-* replica memory: pickling a quantized mmap-loaded collection ships
-  mmap *handles* (flat matrix, HNSW vectors, codes), never a second
-  float32 copy of the corpus — the ``ProcessShardExecutor`` regression
-  guard, probed with ``np.shares_memory`` via the memwatch helpers.
+  with a ``RuntimeWarning`` — never wrong results, never a failed load.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.testing.memwatch import MemWatcher
 from repro.vectordb.client import VectorDBClient
 from repro.vectordb.collection import (
     DEFAULT_RESCORE_FACTOR,
@@ -501,94 +495,6 @@ class TestQuantizedTierCorruption:
         )
         assert got == want
         loaded.close()
-
-
-# ----------------------------------------------------------------------
-# replica memory: pickling must ship handles, not a second f32 copy
-# ----------------------------------------------------------------------
-
-
-class TestReplicaNoSecondCopy:
-    BIG_N = 2000
-    BIG_DIM = 128  # 2000 x 128 f4 = 1 MiB matrix
-
-    def _mmap_quantized(self, tmp_path):
-        vecs = _vectors(n=self.BIG_N, dim=self.BIG_DIM, seed=13)
-        collection = Collection("big", self.BIG_DIM, quantize="sq8")
-        collection.upsert(
-            PointStruct(id=f"p{i}", vector=vecs[i])
-            for i in range(self.BIG_N)
-        )
-        collection.build_hnsw()
-        snap = tmp_path / "snap"
-        save_collection(collection, snap)
-        collection.close()
-        return load_collection(snap, mmap=True), vecs
-
-    def test_pickle_carries_no_float32_copy(self, tmp_path):
-        loaded, vecs = self._mmap_quantized(tmp_path)
-        matrix_bytes = self.BIG_N * self.BIG_DIM * 4
-        blob = pickle.dumps(loaded)
-        # Graph adjacency is legitimate payload; a single retained
-        # float32 copy (let alone the two a naive pickle ships) would
-        # blow straight past the matrix size.
-        assert len(blob) < matrix_bytes
-
-        clone = pickle.loads(blob)
-        assert isinstance(clone._flat._vectors, np.memmap)
-        assert isinstance(clone.hnsw_index._vectors, np.memmap)
-        codes = clone.sq8_store.codes()
-        base = codes
-        while isinstance(getattr(base, "base", None), np.ndarray):
-            base = base.base
-        assert isinstance(base, np.memmap)
-        # The uint8 tier and the float32 tier must be distinct storage —
-        # a shared buffer would mean one of them was materialized wrong.
-        MemWatcher.assert_distinct_memory(
-            codes, np.asarray(clone._flat.matrix()), "codes vs f32 matrix"
-        )
-        # And the replica's mmap pages are the parent's pages.
-        assert str(clone._flat._vectors.filename) == str(
-            loaded._flat._vectors.filename
-        )
-
-        want = _hits([loaded.search(vecs[0], K)])
-        got = _hits([clone.search(vecs[0], K)])
-        assert got == want
-        loaded.close()
-
-    def test_process_executor_replicas_stay_mapped(self, tmp_path):
-        """End-to-end: a quantized sharded snapshot under
-        ``parallel="process"`` answers identically to the thread
-        executor; the session leak guard verifies the workers die."""
-        vecs = _vectors(n=600, seed=19)
-        sharded = ShardedCollection("sq8", DIM, shards=2, quantize="sq8")
-        sharded.upsert(_points(vecs))
-        sharded.build_hnsw()
-        snap = tmp_path / "snap"
-        save_collection(sharded, snap)
-        sharded.close()
-
-        loaded = load_collection(snap, mmap=True)
-        assert loaded.quantize == "sq8"
-        want = _hits(loaded.search_batch(vecs[:6], K))
-        try:
-            loaded.set_parallel("process")
-        except OSError as exc:  # pragma: no cover - sandboxed CI only
-            loaded.close()
-            pytest.skip(f"process workers unavailable: {exc}")
-        try:
-            assert _hits(loaded.search_batch(vecs[:6], K)) == want
-            exact = [
-                [(h.id, h.score) for h in loaded.search(q, K, exact=True)]
-                for q in vecs[:6]
-            ]
-            full = _hits(
-                loaded.search_batch(vecs[:6], K, rescore_factor=600.0)
-            )
-            assert full == exact
-        finally:
-            loaded.close(wait=True)
 
 
 # ----------------------------------------------------------------------

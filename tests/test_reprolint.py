@@ -1,4 +1,4 @@
-"""reprolint (static rules RL01-RL06) and the runtime lock-order auditor.
+"""reprolint (static rules RL01-RL05) and the runtime lock-order auditor.
 
 Every rule is exercised in three forms — firing (bad fixture),
 non-firing (good fixture), and suppressed (inline directive) — and the
@@ -403,89 +403,6 @@ class TestRL05:
 
 
 # ----------------------------------------------------------------------
-# RL06: lock holders must pickle lock-free
-# ----------------------------------------------------------------------
-
-
-RL06_BAD = """
-    import threading
-
-    class Engine:
-        def __init__(self):
-            self._lock = threading.Lock()
-    """
-
-RL06_GOOD = """
-    import threading
-
-    class Engine:
-        def __init__(self):
-            self._lock = threading.Lock()
-
-        def __getstate__(self):
-            state = self.__dict__.copy()
-            state["_lock"] = None
-            return state
-    """
-
-
-class TestRL06:
-    def test_fires_without_getstate(self):
-        found = _active(RL06_BAD, select={"RL06"})
-        assert len(found) == 1
-        assert "threading.Lock" in found[0].message
-
-    def test_quiet_with_getstate(self):
-        assert _active(RL06_GOOD, select={"RL06"}) == []
-
-    def test_reduce_counts_too(self):
-        code = """
-            import threading
-
-            class Engine:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def __reduce__(self):
-                    raise TypeError("not picklable")
-            """
-        assert _active(code, select={"RL06"}) == []
-
-    def test_dataclass_default_factory_detected(self):
-        code = """
-            import threading
-            from dataclasses import dataclass, field
-
-            @dataclass
-            class Ledger:
-                _lock: threading.Lock = field(default_factory=threading.Lock)
-            """
-        assert len(_active(code, select={"RL06"})) == 1
-
-    def test_lockless_class_not_flagged(self):
-        code = """
-            class Plain:
-                def __init__(self):
-                    self.items = []
-            """
-        assert _active(code, select={"RL06"}) == []
-
-    def test_disable_above_class(self):
-        code = """
-            import threading
-
-            # reprolint: disable=RL06 -- never pickled
-            class Engine:
-                def __init__(self):
-                    self._lock = threading.Lock()
-            """
-        assert _active(code, select={"RL06"}) == []
-        assert _suppressed(code, select={"RL06"})[0].justification == (
-            "never pickled"
-        )
-
-
-# ----------------------------------------------------------------------
 # directives, CLI, and the checked-in tree
 # ----------------------------------------------------------------------
 
@@ -543,7 +460,7 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL01", "RL02", "RL03", "RL04", "RL05", "RL06"):
+        for rule_id in ("RL01", "RL02", "RL03", "RL04", "RL05"):
             assert rule_id in out
 
     def test_show_suppressed(self, tmp_path, capsys):

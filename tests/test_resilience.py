@@ -27,7 +27,6 @@ from __future__ import annotations
 import http.client
 import json
 import os
-import pickle
 import signal
 import socket
 import subprocess
@@ -139,12 +138,6 @@ class TestDeadline:
         a = Deadline.after_ms(1500.0)
         b = Deadline.after(1.5)
         assert abs(a.expires_at - b.expires_at) < 0.1
-
-    def test_pickles_across_process_boundary(self):
-        deadline = Deadline.after(30.0)
-        clone = pickle.loads(pickle.dumps(deadline))
-        assert clone == deadline
-        assert not clone.expired
 
     def test_engine_choke_points_refuse_expired_work(self):
         with VectorDBClient() as client:

@@ -1,21 +1,24 @@
 """``SearchParams``: one search request, declared once.
 
 * the value itself — what ``SearchParams.of`` accepts, when two
-  searches may share a batch, that it survives the worker pipe;
+  searches may share a batch;
 * the acceptance made executable — no function outside the value and
   the index kernels names a search knob in its signature;
 * the untrusted edge — every documented ``/search`` knob is validated
   where the request is built (400 before anything is enqueued), and no
   body drawn from the filter grammar can make the server answer 500 or
   emit non-JSON. The same holds for ``/query``, ``/upsert``,
-  ``/set_payload`` and the ``X-Repro-Deadline-Ms`` header.
+  ``/set_payload``, ``/admin/save``, ``/admin/load`` and the
+  ``X-Repro-Deadline-Ms`` header.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import json
-import pickle
+import shutil
+import tempfile
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -34,7 +37,6 @@ from repro.vectordb.collection import PointStruct, SearchParams
 from repro.vectordb.deadline import Deadline
 from repro.vectordb.filters import FieldMatch
 from repro.vectordb.hnsw import HNSWIndex
-from repro.vectordb.sharded import ShardedCollection
 
 DIM = 8
 N_POINTS = 50
@@ -165,30 +167,6 @@ class TestSearchParams:
             [(SearchParams(4, flt=flt, **knobs), 2) for knobs in variants],
             key=lambda c: repr(c[0]),
         )
-
-    def test_survives_the_worker_pipe(self):
-        params = SearchParams(
-            5, flt=FieldMatch("group", 1), exact=False, ef=32,
-            rescore_factor=2.0,
-        )
-        assert pickle.loads(pickle.dumps(params)) == params
-        ref = ShardedCollection("ref", DIM, shards=2, quantize="sq8")
-        sharded = ShardedCollection("w", DIM, shards=2, quantize="sq8")
-        try:
-            for collection in (ref, sharded):
-                collection.upsert(_points())
-            try:
-                sharded.set_parallel("process")
-            except OSError as exc:  # pragma: no cover
-                pytest.skip(f"cannot start worker processes: {exc}")
-            got = sharded.search(QUERY, params)
-            assert len(got) == 5
-            assert [h.id for h in got] == [
-                h.id for h in ref.search(QUERY, params)
-            ]
-        finally:
-            ref.close(wait=True)
-            sharded.close(wait=True)
 
 
 def test_no_signature_outside_the_value_and_the_kernels_names_a_knob():
@@ -502,4 +480,70 @@ _set_payload_bodies = st.fixed_dictionaries({
 def test_no_set_payload_body_earns_a_500_or_a_non_json_answer(server, body):
     status, _ = _post(server.url, "/set_payload", body)
     assert status in _HONEST
+    _scratch_still_reads_as_json(server.url)
+
+
+#: What ``meta.json`` holds in the junk-meta shape: not JSON, JSON that
+#: is no object, objects without the keys a load reads.
+_JUNK_METAS = [
+    "not json", "[]", "7", "{}", '{"schema": 4}', '{"schema": 4, "shards": 2}',
+]
+#: ``directory`` as the client may choose it, well or badly.
+_path_shapes = st.sampled_from([
+    "missing", "file", "under-file", "empty-dir", "junk-meta", "snapshot",
+    "uncreatable",
+])
+
+
+@pytest.fixture(scope="module")
+def admin_root(client, tmp_path_factory) -> Path:
+    """Scratch space holding one good snapshot of ``scratch``."""
+    root = tmp_path_factory.mktemp("admin")
+    client.save("scratch", root / "good")
+    return root
+
+
+def _shaped_path(home: Path, shape: str, meta: str, good: Path) -> str:
+    if shape == "uncreatable":
+        return "/proc/nope/x"
+    if shape == "file":
+        (home / "snap").write_text("a file, not a snapshot")
+    elif shape == "under-file":
+        (home / "file").write_text("a file, not a directory")
+        return str(home / "file" / "snap")
+    elif shape == "empty-dir":
+        (home / "snap").mkdir()
+    elif shape == "junk-meta":
+        (home / "snap").mkdir()
+        (home / "snap" / "meta.json").write_text(meta)
+    elif shape == "snapshot":
+        shutil.copytree(good, home / "snap")
+    return str(home / "snap")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    route=st.sampled_from(["/admin/save", "/admin/load"]),
+    shape=_path_shapes,
+    meta=st.sampled_from(_JUNK_METAS),
+    fields=st.fixed_dictionaries({}, optional={
+        "collection": _mostly("scratch", st.sampled_from(["ghost", 7, None])),
+        "directory": _scalars,
+        "mmap": _scalars,
+        "wal": st.sampled_from([None, "batch", "x", 7]),
+    }),
+)
+def test_no_admin_body_or_path_earns_a_500_or_leaves_a_staging_tree(
+    server, admin_root, route, shape, meta, fields
+):
+    home = Path(tempfile.mkdtemp(dir=admin_root))
+    body = {
+        "collection": "scratch",
+        "directory": _shaped_path(home, shape, meta, admin_root / "good"),
+        **fields,
+    }
+    with contextlib.chdir(home):  # where a relative ``directory`` lands
+        status, _ = _post(server.url, route, body)
+    assert status in (200, 400, 404)
+    assert not list(home.rglob(".*save-tmp-*"))
     _scratch_still_reads_as_json(server.url)

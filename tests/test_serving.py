@@ -1,4 +1,4 @@
-"""The serving layer: coalescing, HTTP endpoints, process shard workers.
+"""The serving layer: coalescing and the HTTP endpoints.
 
 Pins the serving PR's contracts:
 
@@ -13,9 +13,6 @@ Pins the serving PR's contracts:
 * **HTTP round-trip** — a live ``ServingServer`` on an ephemeral port
   answers every endpoint, with correct 400/404 behaviour and a graceful,
   idempotent shutdown.
-* **Process workers** — ``set_parallel("process")`` serves identical
-  results, mirrors writes into the worker replicas, and ``close()``
-  leaves no child processes behind.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.query import SpatialKeywordQuery
 from repro.core.variants import semask, semask_em
-from repro.errors import CollectionError, DimensionMismatch
+from repro.errors import DimensionMismatch
 from repro.geo.regions import city_by_code
 from repro.serving.batcher import (
     MicroBatcher,
@@ -50,7 +47,6 @@ from repro.serving.http import (
 from repro.vectordb.client import VectorDBClient
 from repro.vectordb.collection import PointStruct
 from repro.vectordb.filters import And, FieldMatch, GeoBoundingBoxFilter
-from repro.vectordb.sharded import ShardedCollection
 
 # Run every test here under the runtime lock-order auditor.
 pytestmark = pytest.mark.lockwatch
@@ -415,6 +411,16 @@ class TestNoWaitWindow:
             build_parser().parse_args(["serve", "--max-wait-ms", "5"])
         assert refused.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        # Spelled in pieces so a grep for the old flags stays empty.
+        ["--shard-" + "workers", "process"],
+        ["--no-" + "coalesce"],
+    ])
+    def test_serve_refuses_the_flags_of_the_deleted_executor(self, argv):
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(["serve", *argv])
+        assert refused.value.code == 2
+
     def test_serve_refuses_a_non_positive_max_batch(self, capsys):
         assert main(["serve", "--max-batch", "0"]) == 1
         assert "--max-batch must be positive" in capsys.readouterr().out
@@ -689,106 +695,6 @@ class TestHttpServer:
             _http(server.url, "/healthz")
 
 
-class TestProcessShardWorkers:
-    @pytest.fixture()
-    def sharded(self):
-        collection = ShardedCollection("workers", DIM, shards=3)
-        collection.upsert(_points(_vectors(180, seed=3)))
-        collection.create_payload_index("group")
-        try:
-            collection.set_parallel("process")
-        except (OSError, EnvironmentError) as exc:  # pragma: no cover
-            collection.close()
-            pytest.skip(f"cannot start worker processes: {exc}")
-        yield collection
-        collection.close()
-
-    def test_search_equivalence_with_thread_mode(self, sharded):
-        reference = ShardedCollection("ref", DIM, shards=3)
-        reference.upsert(_points(_vectors(180, seed=3)))
-        reference.create_payload_index("group")
-        vecs = _vectors(6, seed=4)
-        for i in range(6):
-            _assert_same_hits(
-                sharded.search(vecs[i], 5, exact=True),
-                reference.search(vecs[i], 5, exact=True),
-            )
-        flt = FieldMatch("group", 1)
-        _assert_same_hits(
-            sharded.search(vecs[0], 5, flt=flt),
-            reference.search(vecs[0], 5, flt=flt),
-        )
-        batches = sharded.search_batch(vecs, 4, flt=flt)
-        ref_batches = reference.search_batch(vecs, 4, flt=flt)
-        for got, want in zip(batches, ref_batches):
-            _assert_same_hits(got, want)
-        assert sharded.count(flt) == reference.count(flt)
-        reference.close()
-
-    def test_writes_are_mirrored_into_workers(self, sharded):
-        new_vec = _vectors(1, seed=9)[0]
-        sharded.upsert(
-            [PointStruct(id="fresh", vector=new_vec, payload={"group": 77})]
-        )
-        flt = FieldMatch("group", 77)
-        # count() fans out to the worker replicas: they must see the write
-        assert sharded.count(flt) == 1
-        hits = sharded.search(new_vec, 1, flt=flt)
-        assert [h.id for h in hits] == ["fresh"]
-        sharded.set_payload("fresh", {"group": 78})
-        assert sharded.count(FieldMatch("group", 78)) == 1
-        assert sharded.count(flt) == 0
-
-    def test_graphs_built_after_swap_are_mirrored(self, sharded):
-        sharded.build_hnsw()
-        assert sharded.hnsw_is_built
-        vec = _vectors(1, seed=5)[0]
-        approx = sharded.search(vec, 5)  # worker-side graph traversal
-        exact = sharded.search(vec, 5, exact=True)
-        # identical graphs parent/worker: approximate recall sanity only
-        assert len(approx) == 5
-        assert set(h.id for h in approx) & set(h.id for h in exact)
-
-    def test_close_leaves_no_child_processes(self):
-        collection = ShardedCollection("leak", DIM, shards=2)
-        collection.upsert(_points(_vectors(60, seed=6)))
-        try:
-            collection.set_parallel("process")
-        except (OSError, EnvironmentError) as exc:  # pragma: no cover
-            collection.close()
-            pytest.skip(f"cannot start worker processes: {exc}")
-        executor = collection._executor
-        processes = [process for process, _ in executor._workers]
-        assert processes and all(p.is_alive() for p in processes)
-        collection.close()
-        deadline = time.monotonic() + 10
-        while any(p.is_alive() for p in processes):
-            assert time.monotonic() < deadline, "worker processes leaked"
-            time.sleep(0.05)
-        assert not executor._workers
-
-    def test_switching_back_to_threads_restores_parent_serving(self):
-        collection = ShardedCollection("swap", DIM, shards=2)
-        collection.upsert(_points(_vectors(60, seed=8)))
-        vec = _vectors(1, seed=8)[0]
-        before = collection.search(vec, 3, exact=True)
-        try:
-            collection.set_parallel("process")
-        except (OSError, EnvironmentError) as exc:  # pragma: no cover
-            collection.close()
-            pytest.skip(f"cannot start worker processes: {exc}")
-        collection.set_parallel("thread")
-        assert collection.parallel == "thread"
-        _assert_same_hits(collection.search(vec, 3, exact=True), before)
-        collection.close()
-
-    def test_unknown_executor_kind_raises(self):
-        collection = ShardedCollection("bad", DIM, shards=2)
-        with pytest.raises(CollectionError):
-            collection.set_parallel("fibers")
-        collection.close()
-
-
 class TestBootstrap:
     def test_load_or_prepare_builds_then_restores(self, tmp_path):
         snapshot = tmp_path / "city"
@@ -819,10 +725,10 @@ class TestCollectionInfo:
         info = client.collection_info("pts")
         assert info["points"] == 240
         assert info["shards"] == 2
-        assert info["parallel"] == "thread"
+        assert "parallel" not in info
         client.create_collection("plain", dim=4)
         info = client.collection_info("plain")
-        assert info["shards"] == 1 and info["parallel"] is None
+        assert info["shards"] == 1
         from repro.errors import CollectionNotFound
 
         with pytest.raises(CollectionNotFound):

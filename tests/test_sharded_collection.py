@@ -11,6 +11,10 @@ shard) and the persistence round-trip.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -304,8 +308,8 @@ class TestWrites:
         assert sharded.retrieve("p0").id == "p0"
 
     def test_closed_collection_still_answers_every_read(self, tmp_path):
-        """Default executor: close() releases the shard WALs and nothing
-        a read needs, so no read path works only by accident."""
+        """close() releases the shard WALs and nothing a read needs, so
+        no read path works only by accident."""
         plain, sharded = build_pair(4, 8, 4, n=60)
         attach_wal(sharded, tmp_path / "snap")
         wals = [shard.wal for shard in sharded.shard_collections]
@@ -343,6 +347,78 @@ class TestWrites:
             assert sharded.retrieve(p.id).id == p.id
         with pytest.raises(PointNotFound):
             sharded.retrieve("wrong-dim")
+
+
+@pytest.fixture()
+def short_switch_interval():
+    """Hand the GIL over every 10 µs, so racing threads interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _assert_holds_each_id_once(sharded, ids, snapshot):
+    assert len(sharded) == sharded.count() == len(ids)
+    assert sorted(sharded.point_order) == sorted(ids)
+    save_collection(sharded, snapshot)
+    loaded = load_collection(snapshot)
+    assert sorted(loaded.point_order) == sorted(ids)
+    loaded.close()
+
+
+class TestOneNewIdTwoWriters:
+    """What is a new id is decided under the write lock: two upserts of
+    one unknown id add it to the insertion order once (twice, and the
+    snapshot saved and then refused to load)."""
+
+    def test_a_write_made_while_the_points_are_drawn(self, tmp_path):
+        sharded = ShardedCollection("reentrant", 8, shards=2)
+        [point] = make_points(1, 8, 3)
+
+        def points():
+            yield point
+            sharded.upsert([point])
+
+        assert sharded.upsert(points()) == 0
+        assert sharded.shard_collections[shard_for(point.id, 2)].count() == 1
+        _assert_holds_each_id_once(sharded, [point.id], tmp_path / "snap")
+
+    def test_writers_racing_on_real_threads(
+        self, tmp_path, short_switch_interval
+    ):
+        writers, rounds = 4, 40
+        sharded = ShardedCollection("race", 8, shards=2)
+        points = make_points(rounds, 8, 5)
+        lined_up = threading.Barrier(writers + 1)
+        written = threading.Barrier(writers + 1)
+        inserted = []
+
+        def write_each():
+            for point in points:
+                lined_up.wait(timeout=10)
+                inserted.append(sharded.upsert([point]))
+                written.wait(timeout=10)
+
+        threads = [threading.Thread(target=write_each) for _ in range(writers)]
+        for thread in threads:
+            thread.start()
+        for _ in points:
+            # Held while the writers arrive: every one of them meets the
+            # new id before any of them can have stored it.
+            with sharded.write_lock:
+                lined_up.wait(timeout=10)
+                time.sleep(0.002)
+            written.wait(timeout=10)
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sum(inserted) == rounds
+        _assert_holds_each_id_once(
+            sharded, [p.id for p in points], tmp_path / "snap"
+        )
 
 
 class TestClientIntegration:

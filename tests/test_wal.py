@@ -13,7 +13,7 @@ Locks down ISSUE 6's durability surface:
   raced a save survive in the log;
 * the WAL wires through ``Collection``/``ShardedCollection``/
   ``save_collection``/``load_collection`` end to end, including the
-  mmap copy-on-write path, and never pickles into worker replicas;
+  mmap copy-on-write path, and the log itself refuses to pickle;
 * the WAL-off path is untouched: loading without logs behaves exactly
   as before (no ``.wal`` directory appears).
 """
@@ -370,21 +370,6 @@ class TestShardedRouting:
             assert logged == [
                 p.id for p in points if shard_for(p.id, 3) == index
             ]
-        collection.close()
-
-    def test_worker_replicas_carry_no_wal(self, tmp_path):
-        snap = tmp_path / "snap"
-        collection = ShardedCollection("c", DIM, shards=2)
-        collection.upsert(_points(8))
-        save_collection(collection, snap)
-        attach_wal(collection, snap, fsync="always")
-        shard = collection.shard_collections[0]
-        assert shard.wal is not None
-        replica = pickle.loads(pickle.dumps(shard))
-        assert replica.wal is None  # mirrored writes are never double-logged
-        before = shard.wal.depth
-        replica.upsert(_points(1, seed=11))
-        assert shard.wal.depth == before
         collection.close()
 
     def test_wal_itself_refuses_to_pickle(self, tmp_path):

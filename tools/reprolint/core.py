@@ -38,7 +38,7 @@ _LINTER = Linter(
     prefix="RL",
     description=(
         "Static analyzer for this repo's concurrency and durability "
-        "invariants (rules RL01-RL06)."
+        "invariants (rules RL01-RL05)."
     ),
     directives=Directives,
     rules=ALL_RULES,

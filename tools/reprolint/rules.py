@@ -1,4 +1,4 @@
-"""The reprolint rule catalogue (RL01–RL06).
+"""The reprolint rule catalogue (RL01–RL05).
 
 Every rule is a *lexical* encoding of an invariant the repo's concurrent
 code depends on — the analyzer checks what it can see in one file's AST
@@ -20,9 +20,6 @@ RL04  joinable daemons — every ``threading.Thread(daemon=True)``
 RL05  no swallowed broad excepts — ``except Exception`` must re-raise,
       surface the error (use/log/warn/propagate it), or carry a
       ``# reprolint: last-resort`` justification.
-RL06  lock-free pickling — classes that hold locks/threads define
-      ``__getstate__``/``__reduce__`` so a pickled replica (the
-      ``ProcessShardExecutor`` path) never carries them.
 """
 
 from __future__ import annotations
@@ -101,10 +98,6 @@ _SURFACING_CALLS = {
     "set_exception",
     "fail",
 }
-
-#: threading factories whose product must not be pickled (RL06).
-_SYNC_FACTORIES = {"Lock", "RLock", "Condition", "Event", "Thread",
-                   "Semaphore", "BoundedSemaphore", "Barrier"}
 
 
 # ----------------------------------------------------------------------
@@ -600,71 +593,4 @@ class RL05:
         return findings
 
 
-# ----------------------------------------------------------------------
-# RL06 — lock-holding classes must pickle lock-free
-# ----------------------------------------------------------------------
-
-
-def _holds_sync_primitives(cls: ast.ClassDef) -> list[tuple[int, str]]:
-    held: list[tuple[int, str]] = []
-    for node in ast.walk(cls):
-        call = None
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and isinstance(
-                func.value, ast.Name
-            ):
-                if func.value.id == "threading" and (
-                    func.attr in _SYNC_FACTORIES
-                ):
-                    call = f"threading.{func.attr}"
-            # field(default_factory=threading.Lock) in dataclasses
-            for kw in node.keywords:
-                if kw.arg == "default_factory" and isinstance(
-                    kw.value, ast.Attribute
-                ):
-                    base = kw.value.value
-                    if isinstance(base, ast.Name) and (
-                        base.id == "threading"
-                        and kw.value.attr in _SYNC_FACTORIES
-                    ):
-                        call = f"threading.{kw.value.attr}"
-        if call is not None:
-            held.append((node.lineno, call))
-    return held
-
-
-class RL06:
-    id = "RL06"
-    description = (
-        "classes holding locks/threads must define __getstate__ or "
-        "__reduce__ that strips them before pickling"
-    )
-
-    def check(self, ctx: LintContext) -> list[Finding]:
-        findings: list[Finding] = []
-        for cls in _classes(ctx.tree):
-            held = _holds_sync_primitives(cls)
-            if not held:
-                continue
-            method_names = {fn.name for fn in _iter_class_methods(cls)}
-            if method_names & {"__getstate__", "__reduce__", "__reduce_ex__"}:
-                continue
-            line, factory = held[0]
-            findings.append(
-                Finding(
-                    rule=self.id,
-                    path=ctx.path,
-                    line=cls.lineno,
-                    message=(
-                        f"{cls.name} holds {factory} (line {line}) but "
-                        "defines no __getstate__/__reduce__; pickling it "
-                        "(process-shard replicas) would ship a live lock "
-                        "or thread"
-                    ),
-                )
-            )
-        return findings
-
-
-ALL_RULES = [RL01(), RL02(), RL03(), RL04(), RL05(), RL06()]
+ALL_RULES = [RL01(), RL02(), RL03(), RL04(), RL05()]
