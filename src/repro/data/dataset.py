@@ -18,8 +18,10 @@ class Dataset:
 
     def __init__(self, records: list[POIRecord], city_code: str = "") -> None:
         self._records = list(records)
-        self._by_id = {r.business_id: r for r in self._records}
-        if len(self._by_id) != len(self._records):
+        self._position = {
+            r.business_id: i for i, r in enumerate(self._records)
+        }
+        if len(self._position) != len(self._records):
             raise DatasetError("duplicate business_id in dataset")
         self.city_code = city_code
 
@@ -34,11 +36,11 @@ class Dataset:
 
     def get(self, business_id: str) -> POIRecord:
         """Record by business id (KeyError when absent)."""
-        return self._by_id[business_id]
+        return self._records[self._position[business_id]]
 
     def contains_id(self, business_id: str) -> bool:
         """Whether a record with ``business_id`` exists."""
-        return business_id in self._by_id
+        return business_id in self._position
 
     def in_range(self, box: BoundingBox) -> list[POIRecord]:
         """All records whose location lies inside ``box`` (linear scan)."""
@@ -48,13 +50,10 @@ class Dataset:
 
     def replace(self, record: POIRecord) -> None:
         """Swap in an updated record with the same business id (in place)."""
-        if record.business_id not in self._by_id:
+        position = self._position.get(record.business_id)
+        if position is None:
             raise DatasetError(f"unknown business_id {record.business_id!r}")
-        for i, existing in enumerate(self._records):
-            if existing.business_id == record.business_id:
-                self._records[i] = record
-                break
-        self._by_id[record.business_id] = record
+        self._records[position] = record
 
     def statistics(self) -> dict[str, float]:
         """Corpus statistics matching the paper's §3.1 reporting."""

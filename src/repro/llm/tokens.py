@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import re
 
-_WORD_RE = re.compile(r"[A-Za-z0-9]+|[^\sA-Za-z0-9]")
 #: Characters per extra token inside a long word.
 _LONG_WORD_CHARS = 6
+#: One match per token: a punctuation mark, or up to ``_LONG_WORD_CHARS``
+#: characters of a word (so a word of L characters counts ceil(L / 6)).
+_TOKEN_RE = re.compile(
+    rf"[A-Za-z0-9]{{1,{_LONG_WORD_CHARS}}}|[^\sA-Za-z0-9]"
+)
 
 
 def estimate_tokens(text: str) -> int:
@@ -23,9 +27,4 @@ def estimate_tokens(text: str) -> int:
     >>> estimate_tokens("hello world") >= 2
     True
     """
-    if not text:
-        return 0
-    total = 0
-    for piece in _WORD_RE.findall(text):
-        total += 1 + max(0, (len(piece) - 1) // _LONG_WORD_CHARS)
-    return total
+    return len(_TOKEN_RE.findall(text))

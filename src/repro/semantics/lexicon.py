@@ -59,6 +59,9 @@ class Lexicon:
     def __init__(self, forms: Iterable[SurfaceForm] = ()) -> None:
         self._forms: dict[tuple[str, ...], list[SurfaceForm]] = {}
         self._by_concept: dict[str, list[SurfaceForm]] = {}
+        #: first token -> token count of the longest phrase starting
+        #: with it: the only windows extraction needs to try.
+        self._longest: dict[str, int] = {}
         for form in forms:
             self.add(form)
 
@@ -67,6 +70,8 @@ class Lexicon:
 
     def add(self, form: SurfaceForm) -> None:
         """Register a surface form (multiple concepts per phrase allowed)."""
+        if not form.tokens:
+            raise ValueError(f"phrase {form.phrase!r} has no tokens")
         if len(form.tokens) > MAX_PHRASE_TOKENS:
             raise ValueError(
                 f"phrase {form.phrase!r} exceeds {MAX_PHRASE_TOKENS} tokens"
@@ -76,6 +81,10 @@ class Lexicon:
             return  # identical mapping already present
         bucket.append(form)
         self._by_concept.setdefault(form.concept_id, []).append(form)
+        first = form.tokens[0]
+        self._longest[first] = max(
+            self._longest.get(first, 0), len(form.tokens)
+        )
 
     def add_phrase(self, phrase: str, concept_id: str, difficulty: float) -> None:
         """Convenience wrapper building the :class:`SurfaceForm`."""
@@ -167,6 +176,9 @@ class ConceptExtractor:
     def __init__(self, lexicon: Lexicon, knowledge: KnowledgeProfile | None = None) -> None:
         self._lexicon = lexicon
         self._knowledge = knowledge or full_knowledge()
+        #: ``knows`` per form: a profile's answer never changes, and
+        #: asking costs a sha256.
+        self._known: dict[SurfaceForm, bool] = {}
 
     @property
     def knowledge(self) -> KnowledgeProfile:
@@ -181,15 +193,20 @@ class ConceptExtractor:
         (that the model knows), then resumes after the phrase.
         """
         tokens = tokenize(text)
+        forms_of = self._lexicon._forms
+        longest = self._lexicon._longest
         mentions: list[ConceptMention] = []
         i = 0
         n = len(tokens)
         while i < n:
             matched_len = 0
-            for length in range(min(MAX_PHRASE_TOKENS, n - i), 0, -1):
-                window = tuple(tokens[i : i + length])
-                forms = self._lexicon.lookup(window)
-                known = [f for f in forms if self._knowledge.knows(f)]
+            # No phrase starting with this token is longer than
+            # longest[token], so longer windows cannot match.
+            for length in range(min(longest.get(tokens[i], 0), n - i), 0, -1):
+                forms = forms_of.get(tuple(tokens[i : i + length]))
+                if not forms:
+                    continue
+                known = [f for f in forms if self._knows(f)]
                 if known:
                     for form in known:
                         mentions.append(
@@ -204,6 +221,12 @@ class ConceptExtractor:
                     break
             i += matched_len if matched_len else 1
         return mentions
+
+    def _knows(self, form: SurfaceForm) -> bool:
+        known = self._known.get(form)
+        if known is None:
+            known = self._known[form] = self._knowledge.knows(form)
+        return known
 
     def extract_concepts(self, text: str) -> frozenset[str]:
         """Just the set of concept ids mentioned in ``text``."""

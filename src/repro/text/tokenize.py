@@ -23,9 +23,10 @@ def normalize(text: str) -> str:
     >>> normalize("  Café   du  Monde ")
     'cafe du monde'
     """
-    decomposed = unicodedata.normalize("NFKD", text)
-    ascii_text = decomposed.encode("ascii", "ignore").decode("ascii")
-    return _WS_RE.sub(" ", ascii_text.lower()).strip()
+    if not text.isascii():  # ASCII is its own NFKD form
+        decomposed = unicodedata.normalize("NFKD", text)
+        text = decomposed.encode("ascii", "ignore").decode("ascii")
+    return _WS_RE.sub(" ", text.lower()).strip()
 
 
 def tokenize(text: str) -> list[str]:
@@ -38,12 +39,10 @@ def tokenize(text: str) -> list[str]:
     >>> tokenize("Mike's Ice-Cream, est. 1998!")
     ['mikes', 'ice', 'cream', 'est', '1998']
     """
-    tokens = []
-    for match in _TOKEN_RE.finditer(normalize(text)):
-        token = match.group(0).replace("'", "")
-        if token:
-            tokens.append(token)
-    return tokens
+    return [
+        token.replace("'", "")
+        for token in _TOKEN_RE.findall(normalize(text))
+    ]
 
 
 def sentences(text: str) -> list[str]:

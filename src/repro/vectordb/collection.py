@@ -9,10 +9,11 @@ graph with a predicate.
 One read path: :meth:`Collection.search_batch` answers many queries against
 one filter in a single call — the filter's candidate set is computed once
 and shared across the whole batch, and exact scoring runs as one
-matrix–matrix product. It is the only place that chooses between exact,
-brute-force, quantized and graph scoring; :meth:`Collection.search` is a
-batch of one, so a query gets the same hits alone as in any batch (scores
-equal up to float accumulation order).
+matrix–matrix product. One place (``_score``, under it) chooses between
+exact, brute-force, quantized and graph scoring;
+:meth:`Collection.search` is a batch of one, so a query gets the same
+hits alone as in any batch (scores equal up to float accumulation
+order).
 
 Index lifecycle: the HNSW graph can be built eagerly with
 :meth:`Collection.build_hnsw` (the bulk-scored
@@ -37,7 +38,14 @@ copy-on-write of an mmap-adopted matrix has fully completed before the
 write's WAL record exists. Reads are intentionally left lock-free: rows
 ``[0, n)`` of the vector matrix never mutate after insertion (vector
 replacement is unsupported), so searches racing an upsert see either the
-pre- or post-write population, never a torn row.
+pre- or post-write population, never a torn row. What makes that hold is
+the publication order inside ``upsert``: a new point's vector row, graph
+node, payload, payload-index entries and geo-column row are all in place
+*before* its id is appended, so ``len(self._ids)`` is the one
+publication point. A search reads it once and answers over nodes
+``[0, n)`` on every path — filter mask, brute-force subset, exact scan,
+graph traversal, hit materialisation — and whatever a racing upsert has
+half-applied lies at or past ``n``, where no path looks.
 """
 
 from __future__ import annotations
@@ -57,10 +65,10 @@ from repro.errors import CollectionError, DimensionMismatch, PointNotFound
 from repro.vectordb.contracts import array_contract
 from repro.vectordb.deadline import Deadline
 from repro.vectordb.distance import Metric
-from repro.vectordb.filters import Filter
+from repro.vectordb.filters import Filter, GeoBoundingBoxFilter
 from repro.vectordb.flat import FlatIndex
 from repro.vectordb.hnsw import HNSWIndex
-from repro.vectordb.payload_index import PayloadIndexRegistry
+from repro.vectordb.payload_index import PayloadIndexRegistry, bbox_mask
 from repro.vectordb.quantization import SQ8Store, validate_quantize
 
 #: Default top-``rescore_factor·k`` candidate multiplier for quantized
@@ -382,10 +390,12 @@ class Collection:
                         for missing in range(len(self._hnsw), node):
                             self._hnsw.add(self._flat.vector(missing))
                         self._hnsw.add(vector)
-                    self._ids.append(point.id)
                     self._payloads.append(dict(point.payload))
                     self._id_to_node[point.id] = node
                     self._payload_indexes.index_point(node, point.payload)
+                    # Last: len(self._ids) is what publishes the point
+                    # to searches (see the module docstring).
+                    self._ids.append(point.id)
                     inserted += 1
                     if self._wal is not None:
                         accepted.append(PointStruct(
@@ -450,9 +460,10 @@ class Collection:
 
     def scroll(self, flt: Filter | None = None) -> list[SearchHit]:
         """All points (optionally filtered), in insertion order."""
+        n = len(self._ids)
         nodes = (
-            range(len(self._ids)) if flt is None
-            else self._matching_nodes(flt).tolist()
+            range(n) if flt is None
+            else np.flatnonzero(self._matching_mask(flt, n)).tolist()
         )
         return [
             SearchHit(
@@ -468,22 +479,42 @@ class Collection:
         Uses payload secondary indexes to narrow the scan, exactly like
         filtered searches do.
         """
+        n = len(self._ids)
         if flt is None:
-            return len(self._ids)
-        return int(self._matching_nodes(flt).size)
+            return n
+        return int(np.count_nonzero(self._matching_mask(flt, n)))
 
-    def _matching_nodes(self, flt: Filter) -> np.ndarray:
-        """Node ids matching ``flt``, narrowed by payload indexes first."""
+    def _matching_mask(self, flt: Filter, n: int) -> np.ndarray:
+        """Which of nodes ``[0, n)`` match ``flt``, as a boolean mask.
+
+        A bounding box is answered by its key's lat/lon column; anything
+        else scans payloads, narrowed by the payload indexes first.
+        """
+        if isinstance(flt, GeoBoundingBoxFilter):
+            return bbox_mask(flt.box, self._geo_rows(flt.key, n))
         candidates = self._payload_indexes.candidates_for(flt)
         scan = (
-            sorted(candidates)
+            # index entries land before a racing upsert publishes
+            sorted(node for node in candidates if node < n)
             if candidates is not None
-            else range(len(self._ids))
+            else range(n)
         )
-        return np.fromiter(
+        mask = np.zeros(n, dtype=bool)
+        mask[np.fromiter(
             (node for node in scan if flt.matches(self._payloads[node])),
             dtype=np.int64,
-        )
+        )] = True
+        return mask
+
+    def _geo_rows(self, key: str, n: int) -> np.ndarray:
+        """Rows ``[0, n)`` of ``key``'s lat/lon column, built on first use."""
+        column = self._payload_indexes.geo_column(key)
+        if column is None:
+            with self._write_lock:
+                column = self._payload_indexes.build_geo_column(
+                    key, self._payloads
+                )
+        return column.rows[:, :n]
 
     @property
     def hnsw_is_built(self) -> bool:
@@ -635,6 +666,49 @@ class Collection:
         )
         return self._flat.search(query, k, subset=nodes)
 
+    def _score(
+        self,
+        queries: np.ndarray,
+        params: SearchParams,
+        mask: np.ndarray | None,
+    ) -> list[list[tuple[int, float]]]:
+        """``(node, score)`` lists per query: the one place that chooses
+        between exact, brute-force, quantized and graph scoring.
+
+        ``mask`` marks the nodes a filter matched (``None``: no filter);
+        no node at or past ``mask.size`` is returned.
+        """
+        k, exact = params.k, params.exact
+        quantized = self._sq8 is not None and not exact
+        ef = params.ef or self._hnsw_config.ef_search
+        if mask is None:
+            if exact:
+                return self._flat.search_batch(queries, k)
+            if quantized:
+                return [
+                    self._sq8_graph_search(query, params)
+                    for query in queries
+                ]
+            return self.build_hnsw().search_batch(queries, k, ef=ef)
+
+        matching = np.flatnonzero(mask)
+        if exact or matching.size <= self.BRUTE_FORCE_THRESHOLD:
+            return self._flat.search_batch(queries, k, subset=matching)
+
+        def passes(node: int) -> bool:
+            # a node a concurrent upsert appended after the filter
+            # ran lies past the mask: it does not match
+            return node < mask.size and mask[node]
+
+        if quantized:
+            return [
+                self._sq8_graph_search(query, params, matching, passes)
+                for query in queries
+            ]
+        return self.build_hnsw().search_batch(
+            queries, k, ef=ef, predicate=passes
+        )
+
     @array_contract(vector="d:float32")
     def search(
         self,
@@ -696,46 +770,29 @@ class Collection:
         n_queries = queries.shape[0]
         if n_queries == 0:
             return []
-        k, flt, exact = params.k, params.flt, params.exact
-        if k == 0 or len(self._ids) == 0:
+        k, flt = params.k, params.flt
+        # The population this search answers over: every path below
+        # stays inside nodes [0, n), whatever a racing upsert appends.
+        n = len(self._ids)
+        if k == 0 or n == 0:
             return [[] for _ in range(n_queries)]
-        quantized = self._sq8 is not None and not exact
-        ef = params.ef or self._hnsw_config.ef_search
 
         if flt is not None:
-            matching = self._matching_nodes(flt)
-            if matching.size == 0:
+            mask = self._matching_mask(flt, n)
+            if not mask.any():
                 return [[] for _ in range(n_queries)]
             if deadline is not None:
                 deadline.check("scoring")
-            if exact or matching.size <= self.BRUTE_FORCE_THRESHOLD:
-                raw_lists = self._flat.search_batch(queries, k, subset=matching)
-            else:
-                mask = np.zeros(len(self._ids), dtype=bool)
-                mask[matching] = True
-
-                def passes(node: int) -> bool:
-                    # a node a concurrent upsert appended after the
-                    # filter ran lies past the mask: it does not match
-                    return node < mask.size and mask[node]
-
-                if quantized:
-                    raw_lists = [
-                        self._sq8_graph_search(query, params, matching, passes)
-                        for query in queries
-                    ]
-                else:
-                    raw_lists = self.build_hnsw().search_batch(
-                        queries, k, ef=ef, predicate=passes
-                    )
-        elif exact:
-            raw_lists = self._flat.search_batch(queries, k)
-        elif quantized:
-            raw_lists = [
-                self._sq8_graph_search(query, params) for query in queries
-            ]
+            raw_lists = self._score(queries, params, mask)
         else:
-            raw_lists = self.build_hnsw().search_batch(queries, k, ef=ef)
+            raw_lists = self._score(queries, params, None)
+            if any(node >= n for raw in raw_lists for node, _ in raw):
+                # The flat index and the graph hold an upsert's row
+                # before its id is published: answer again as a search
+                # filtered to the population captured above.
+                raw_lists = self._score(
+                    queries, params, np.ones(n, dtype=bool)
+                )
 
         return [
             [

@@ -91,7 +91,12 @@ def _payload_latlon(payload: Mapping[str, Any], key: str) -> tuple[float, float]
         and isinstance(location.get("lat"), (int, float))
         and isinstance(location.get("lon"), (int, float))
     ):
-        return float(location["lat"]), float(location["lon"])
+        try:
+            return float(location["lat"]), float(location["lon"])
+        except OverflowError:
+            # An int too large for float is nowhere. The geo column reads
+            # this inside upsert, where raising would tear the write.
+            return None
     return None
 
 

@@ -97,13 +97,21 @@ class FlatIndex:
             raise KeyError(f"node {node_id} not in index")
         return self._vectors[node_id]
 
+    def _snapshot(self) -> tuple[int, np.ndarray]:
+        """``(count, storage)`` read once, count first: :meth:`add` grows
+        the storage before it raises the count, so the pair is consistent
+        under a racing add — the storage holds at least ``count`` rows."""
+        count = self._count
+        return count, self._vectors
+
     def matrix(self) -> np.ndarray:
         """All stored vectors as an ``(n, dim)`` view, in node-id order.
 
         A view into the live storage (valid until the next :meth:`add`
         reallocates); callers that keep it must copy.
         """
-        return self._vectors[: self._count]
+        count, vectors = self._snapshot()
+        return vectors[:count]
 
     @array_contract(query="d:float32", subset="s")
     def search(
@@ -119,7 +127,8 @@ class FlatIndex:
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        if self._count == 0:
+        count, vectors = self._snapshot()
+        if count == 0:
             return []
         query = np.asarray(query, dtype=np.float32)
 
@@ -127,10 +136,10 @@ class FlatIndex:
             ids = np.asarray(subset, dtype=np.int64)
             if ids.size == 0:
                 return []
-            sims = similarity(query, self._vectors[ids], self._metric)
+            sims = similarity(query, vectors[ids], self._metric)
         else:
-            ids = np.arange(self._count, dtype=np.int64)
-            sims = similarity(query, self._vectors[: self._count], self._metric)
+            ids = np.arange(count, dtype=np.int64)
+            sims = similarity(query, vectors[:count], self._metric)
 
         top = min(k, ids.size)
         order = np.argpartition(-sims, top - 1)[:top]
@@ -161,22 +170,23 @@ class FlatIndex:
         n_queries = queries.shape[0]
         if n_queries == 0:
             return []
-        if self._count == 0:
+        count, vectors = self._snapshot()
+        if count == 0:
             return [[] for _ in range(n_queries)]
 
         if subset is not None:
             ids = np.asarray(subset, dtype=np.int64)
         else:
-            ids = np.arange(self._count, dtype=np.int64)
+            ids = np.arange(count, dtype=np.int64)
         if ids.size == 0:
             return [[] for _ in range(n_queries)]
 
         if subset is None:
             # Score the stored rows in place: a fancy-index gather would
             # copy the whole (possibly mmap-ed) matrix onto the heap.
-            matrix = self._vectors[: self._count]
+            matrix = vectors[:count]
         else:
-            matrix = self._vectors[ids]
+            matrix = vectors[ids]
         if self._metric in (Metric.COSINE, Metric.DOT):
             sims = pairwise_similarity(queries, matrix, self._metric)
         else:

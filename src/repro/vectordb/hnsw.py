@@ -215,7 +215,10 @@ class HNSWIndex:
                 # is rejected on every later encounter too — which is why
                 # only *accepted* neighbours need a visited stamp, and why
                 # the results are identical to the per-neighbour original.
-                block = self._adj0[node, : self._adj0_len[node]]
+                # A copy, not a view: a racing add() rewrites adjacency
+                # rows in place, and ids read after the scoring would no
+                # longer be the ids that were scored.
+                block = self._adj0[node, : self._adj0_len[node]].copy()
                 if block.size == 0:
                     continue
                 sims = self._vectors[block] @ query

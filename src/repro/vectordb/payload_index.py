@@ -17,19 +17,32 @@ Two index shapes are kept per field:
   rebuilt lazily after writes (write-heavy phases pay nothing; the first
   range query after a batch of upserts pays one ``argsort``).
 
-Geo predicates still evaluate per point, but over the reduced candidate
-set when combined under ``And``.
+Bounding boxes need no ``create_index``: the first bounding-box filter
+over a payload key builds that key's :class:`GeoColumn` — float64
+lat/lon by node — and :func:`bbox_mask` answers the filter as array
+comparisons over it. Radius filters, and any boolean tree, still
+evaluate per point, over the reduced candidate set when combined under
+``And``. Like the other indexes the columns are derived state: never
+persisted, rebuilt on first use after a load.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import Any
 
 import numpy as np
 
-from repro.vectordb.filters import And, FieldIn, FieldMatch, FieldRange, Filter
+from repro.geo.bbox import BoundingBox
+from repro.vectordb.filters import (
+    And,
+    FieldIn,
+    FieldMatch,
+    FieldRange,
+    Filter,
+    _payload_latlon,
+)
 
 
 def _hashable(value: Any) -> bool:
@@ -45,8 +58,66 @@ def _numeric(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+#: The column row of a payload with no usable location: matches nothing.
+_NOWHERE = (math.nan, math.nan)
+
+
+class GeoColumn:
+    """One geo payload key's ``(lat, lon)`` per node: a ``(2, capacity)``
+    float64 array, NaN where the payload has no usable location.
+
+    Writers hold the collection's write lock; readers do not. A reader
+    takes :attr:`rows` once and slices it to the population it captured,
+    and that prefix never changes under it: appends land beyond it (a
+    full array is replaced by a grown copy) and a *changed* location
+    replaces the array too, so a racing search sees a point's old or
+    new location, never the latitude of one and the longitude of the
+    other.
+    """
+
+    def __init__(self, key: str, payloads: Sequence[Mapping[str, Any]]) -> None:
+        self.key = key
+        self._count = len(payloads)
+        self.rows = np.full(
+            (2, max(1024, self._count)), np.nan, dtype=np.float64
+        )
+        self.rows[:, : self._count] = np.array(
+            [_payload_latlon(payload, key) or _NOWHERE for payload in payloads],
+            dtype=np.float64,
+        ).reshape(self._count, 2).T
+
+    def set(self, node: int, payload: Mapping[str, Any]) -> None:
+        """Record ``node``'s location (a new node, or a replaced payload)."""
+        row = _payload_latlon(payload, self.key) or _NOWHERE
+        rows = self.rows
+        if node < self._count:
+            if np.array_equal(rows[:, node], row, equal_nan=True):
+                return
+            rows = rows.copy()
+        elif node >= rows.shape[1]:
+            rows = np.full(
+                (2, max(2 * rows.shape[1], node + 1)), np.nan,
+                dtype=np.float64,
+            )
+            rows[:, : self._count] = self.rows[:, : self._count]
+        rows[:, node] = row
+        self.rows = rows
+        self._count = max(self._count, node + 1)
+
+
+def bbox_mask(box: BoundingBox, rows: np.ndarray) -> np.ndarray:
+    """Which columns of ``rows`` (a ``(2, n)`` lat/lon array) lie inside
+    ``box``: ``box.contains_coords`` point by point, NaN rows outside."""
+    lat, lon = rows
+    inside = (lat >= box.min_lat) & (lat <= box.max_lat)
+    if box.crosses_antimeridian:
+        return inside & ((lon >= box.min_lon) | (lon <= box.max_lon))
+    return inside & (lon >= box.min_lon) & (lon <= box.max_lon)
+
+
 class PayloadIndexRegistry:
-    """Hash + sorted-numeric indexes over payload fields."""
+    """Hash + sorted-numeric indexes over payload fields, and the lazily
+    built geo columns."""
 
     def __init__(self) -> None:
         self._fields: set[str] = set()
@@ -63,6 +134,23 @@ class PayloadIndexRegistry:
         #: per field: cached (sorted values, node ids) pair, or None when
         #: writes have invalidated it.
         self._sorted: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
+        #: per geo payload key a filter has asked about: its column.
+        self._geo: dict[str, GeoColumn] = {}
+
+    def geo_column(self, key: str) -> GeoColumn | None:
+        """``key``'s lat/lon column, if a geo filter has needed it yet."""
+        return self._geo.get(key)
+
+    def build_geo_column(
+        self, key: str, payloads: Sequence[Mapping[str, Any]]
+    ) -> GeoColumn:
+        """Build ``key``'s column over ``payloads`` (node order) unless a
+        racing reader already has; from here on every write maintains
+        it. The caller holds the collection's write lock."""
+        column = self._geo.get(key)
+        if column is None:
+            column = self._geo[key] = GeoColumn(key, payloads)
+        return column
 
     def create_index(self, field: str) -> None:
         """Start indexing ``field`` (idempotent; backfilled by the caller)."""
@@ -79,6 +167,8 @@ class PayloadIndexRegistry:
 
     def index_point(self, node: int, payload: Mapping[str, Any]) -> None:
         """Add one point's indexed fields to the registry."""
+        for column in self._geo.values():
+            column.set(node, payload)
         for field in self._fields:
             value = payload.get(field)
             if value is None:

@@ -57,6 +57,14 @@ class TestDataset:
         assert dataset.get(record.business_id).tip_summary == "A new summary."
         assert dataset[3].tip_summary == "A new summary."
 
+    def test_replace_keeps_iteration_order(self, dataset):
+        before = [r.business_id for r in dataset]
+        for record in reversed(list(dataset)):
+            dataset.replace(dataclasses.replace(record, tip_summary="x"))
+        assert [r.business_id for r in dataset] == before
+        assert all(r.tip_summary == "x" for r in dataset)
+        assert all(dataset.get(pid) is dataset[i] for i, pid in enumerate(before))
+
     def test_replace_unknown_raises(self, dataset):
         ghost = dataclasses.replace(dataset[0], business_id="ghost-id-123")
         with pytest.raises(DatasetError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.embeddings import hashed
 from repro.embeddings.base import EmbeddingModel
 from repro.embeddings.cache import CachingEmbedder
 from repro.embeddings.hashed import HashedNgramEmbedder
@@ -54,6 +55,24 @@ class TestHashedNgramEmbedder:
     def test_embed_batch_empty(self):
         model = HashedNgramEmbedder(dim=32)
         assert model.embed_batch([]).shape == (0, 32)
+
+    def test_feature_memo_never_changes_a_vector(self, monkeypatch):
+        """Cold, warm, full, or absent: the memo only saves digests."""
+        texts = [
+            "crispy chicken wings", "wings and cold beer on tap",
+            "Mike's wood-fired pizza, est. 1998", "",
+        ]
+        monkeypatch.setattr(hashed, "_MEMO_ENTRIES", 0)
+        unmemoized = [HashedNgramEmbedder(dim=64).embed(t) for t in texts]
+        monkeypatch.setattr(hashed, "_MEMO_ENTRIES", 8)  # fills mid-text
+        model = HashedNgramEmbedder(dim=64)
+        cold = [model.embed(t) for t in texts]
+        assert len(model._memo) == 8
+        warm_and_full = [model.embed(t) for t in texts]
+        batch = model.embed_batch(texts)
+        for want, *got in zip(unmemoized, cold, warm_and_full, batch):
+            for vector in got:
+                assert vector.tobytes() == want.tobytes()
 
 
 class TestSemanticEmbedder:

@@ -7,13 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.semantics.lexicon import (
+    MAX_PHRASE_TOKENS,
     ConceptExtractor,
+    ConceptMention,
     KnowledgeProfile,
     Lexicon,
     SurfaceForm,
     full_knowledge,
     linear_knowledge,
 )
+from repro.text.tokenize import tokenize
 
 
 @pytest.fixture
@@ -36,6 +39,12 @@ class TestSurfaceForm:
         lex = Lexicon()
         with pytest.raises(ValueError):
             lex.add_phrase("!!!", "c", 0.5)
+
+    def test_form_without_tokens_rejected_before_anything_is_stored(self):
+        lex = Lexicon()
+        with pytest.raises(ValueError):
+            lex.add(SurfaceForm("", (), "c", 0.5))
+        assert len(lex) == 0 and lex.forms_of("c") == []
 
 
 class TestLexicon:
@@ -142,3 +151,60 @@ class TestConceptExtractor:
     def test_extractor_never_raises(self, lexicon, text):
         ex = ConceptExtractor(lexicon)
         ex.extract(text)  # must not raise on arbitrary input
+
+
+def _eight_window_extract(lexicon, knowledge, text):
+    """The matcher as first written: at every position try all eight
+    window lengths, longest first, asking the profile form by form."""
+    tokens = tokenize(text)
+    mentions, i = [], 0
+    while i < len(tokens):
+        step = 1
+        for length in range(min(MAX_PHRASE_TOKENS, len(tokens) - i), 0, -1):
+            known = [
+                form for form in lexicon.lookup(tuple(tokens[i : i + length]))
+                if knowledge.knows(form)
+            ]
+            if known:
+                mentions += [
+                    ConceptMention(f.concept_id, f.phrase, f.difficulty, i)
+                    for f in known
+                ]
+                step = length
+                break
+        i += step
+    return mentions
+
+
+class TestExtractEqualsEightWindowMatcher:
+    """``extract`` only tries the windows the first token allows and
+    remembers what the profile knows; the mentions are the same."""
+
+    @given(data=st.data())
+    def test_streams_of_lexicon_phrases_and_noise(self, lexicon, data):
+        phrases = [form.phrase for form in lexicon.forms()]
+        # whole phrases, phrases cut short (a longer window that almost
+        # matches), and words no phrase starts with
+        piece = st.one_of(
+            st.sampled_from(phrases),
+            st.sampled_from(phrases).map(lambda p: p.rsplit(" ", 1)[0]),
+            st.sampled_from(["zzz", "the", "and", "42"]),
+        )
+        text = " ".join(data.draw(st.lists(piece, max_size=8)))
+        for knowledge in (
+            full_knowledge(), linear_knowledge("half", 1.0, 0.8),
+        ):
+            extractor = ConceptExtractor(lexicon, knowledge)
+            expected = _eight_window_extract(lexicon, knowledge, text)
+            assert extractor.extract(text) == expected
+            assert extractor.extract(text) == expected  # memo warm
+
+    def test_a_phrase_added_later_is_matched(self, small_lexicon):
+        extractor = ConceptExtractor(small_lexicon)
+        assert extractor.extract_concepts("flat white with oat milk") == {
+            "coffee"
+        }
+        small_lexicon.add_phrase("flat white with oat milk", "vegan", 0.4)
+        assert extractor.extract_concepts("flat white with oat milk") == {
+            "vegan"
+        }

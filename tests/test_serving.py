@@ -18,6 +18,7 @@ Pins the serving PR's contracts:
 from __future__ import annotations
 
 import json
+import socket
 import statistics
 import threading
 import time
@@ -649,6 +650,96 @@ class TestHttpServer:
         # the server survives all of it
         status, _ = _http(srv.url, "/healthz")
         assert status == 200
+
+    def test_each_response_is_one_send_on_a_nodelay_socket(
+        self, server, monkeypatch
+    ):
+        """Status line, headers and body leave in one ``send`` — small,
+        multi-segment and shed alike — and Nagle is off: headers flushed
+        ahead of the body wait out the peer's delayed ACK."""
+        srv, prepared = server
+        httpd = srv._httpd
+        sends: list[tuple[bytes, int]] = []
+        accept = httpd.get_request
+
+        class Recording:
+            def __init__(self, sock):
+                self._sock = sock
+
+            def sendall(self, data):
+                nodelay = self._sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+                sends.append((bytes(data), nodelay))
+                return self._sock.sendall(data)
+
+            send = sendall
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        def recording_accept():
+            sock, address = accept()
+            return Recording(sock), address
+
+        monkeypatch.setattr(httpd, "get_request", recording_accept)
+        search = {
+            "collection": prepared.collection_name, "k": 10,
+            "vector": prepared.embedder.embed("tacos").tolist(),
+        }
+        _http(srv.url, "/healthz")
+        _, hits = _http(srv.url, "/search", search)
+        assert len(json.dumps(hits)) > 10_000  # several TCP segments
+        monkeypatch.setattr(httpd, "request_began", lambda: False)
+        assert _http_error(srv.url, "/search", search) == 429
+
+        assert [data.split(b" ", 2)[1] for data, _ in sends] == [
+            b"200", b"200", b"429",
+        ]
+        for data, nodelay in sends:
+            head, _, body = data.partition(b"\r\n\r\n")
+            assert f"Content-Length: {len(body)}".encode() in head
+            assert nodelay
+
+    def test_keep_alive_round_trips_do_not_stall(self, server):
+        """A write-write-read exchange on one connection costs a
+        deterministic >= 40 ms per response under Nagle + delayed ACK;
+        the one-segment writer answers in a millisecond or two."""
+        srv, prepared = server
+        raw = json.dumps({
+            "collection": prepared.collection_name, "k": 5,
+            "with_payload": False,
+            "vector": prepared.embedder.embed("tacos").tolist(),
+        }).encode()
+        wire = (
+            b"POST /search HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {len(raw)}\r\n\r\n".encode() + raw
+        )
+        took = []
+        with socket.create_connection(srv.address, timeout=30) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            reader = sock.makefile("rb")
+            for _ in range(30):
+                started = time.perf_counter()
+                sock.sendall(wire)
+                assert reader.readline().split()[1] == b"200"
+                length = 0
+                while (line := reader.readline()) != b"\r\n":
+                    if line.lower().startswith(b"content-length:"):
+                        length = int(line.split(b":")[1])
+                assert len(reader.read(length)) == length
+                took.append(time.perf_counter() - started)
+        assert statistics.median(took) < 0.020
+
+    def test_http09_request_line_gets_the_body_alone(self, server):
+        """No version on the request line: the stdlib buffers no status
+        line or headers for it, and the writer must not expect any."""
+        srv, _ = server
+        with socket.create_connection(srv.address, timeout=30) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            answer = b"".join(iter(lambda: sock.recv(4096), b""))
+        assert json.loads(answer)["status"] == "ok"
 
     def test_snapshot_save_load_round_trip(self, server, tmp_path):
         srv, prepared = server

@@ -24,6 +24,7 @@ from repro.errors import CollectionError, DimensionMismatch, PointNotFound
 from repro.vectordb.client import VectorDBClient
 from repro.vectordb.collection import Collection, HnswConfig, PointStruct
 from repro.vectordb.filters import And, FieldMatch, FieldRange
+from repro.vectordb.hnsw import HNSWIndex
 from repro.vectordb.persistence import (
     attach_wal,
     load_collection,
@@ -538,3 +539,113 @@ class TestPipelineOverShardedBackend:
             assert [e.business_id for e in a.entries] == [
                 e.business_id for e in b.entries
             ]
+
+
+class _SlowPayload(dict):
+    """A payload that takes a millisecond to copy: ``dict(payload)`` is
+    a step in the middle of an upsert, and this holds the writer there."""
+
+    def __iter__(self):
+        return super().__iter__()
+
+    def keys(self):
+        time.sleep(0.001)
+        return super().keys()
+
+
+class TestSearchRacingUpsert:
+    """Reads take no lock: a search racing single-point upserts answers
+    over the population some moment of the race held — per shard, a
+    prefix of its insertion order — and never raises. Before
+    ``len(_ids)`` became the publication point each of these paths hit
+    an ``IndexError`` on a half-applied upsert; the writer here pauses
+    inside its upserts (after the graph has the node, and while the
+    payload is copied) so a reader is certain to look in."""
+
+    DIM, BASE, WRITES, K = 16, 150, 100, 5
+    PATHS = {
+        "filtered": {"flt": FieldMatch("kind", "poi")},
+        "exact": {"exact": True},
+        "graph": {},
+        "filtered-graph": {"flt": FieldMatch("kind", "poi")},
+    }
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_hits_are_the_top_k_of_a_prefix_population(
+        self, path, shards, short_switch_interval, monkeypatch
+    ):
+        if path == "filtered-graph":
+            monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 8)
+        graph_add = HNSWIndex.add
+
+        def slow_add(index, vector):
+            node = graph_add(index, vector)
+            time.sleep(0.001)
+            return node
+
+        monkeypatch.setattr(HNSWIndex, "add", slow_add)
+        total = self.BASE + self.WRITES
+        vectors = unit_vectors(total + 1, self.DIM, seed=5)
+        query, vectors = vectors[-1], vectors[:-1]
+        # the written points crowd the query, so each enters the top-k
+        # the moment any index knows of it
+        vectors[self.BASE:] = 0.3 * vectors[self.BASE:] + query
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        points = [
+            PointStruct(f"p{i}", vectors[i], _SlowPayload(kind="poi"))
+            for i in range(total)
+        ]
+        collection = (
+            Collection("race", self.DIM) if shards == 1
+            else ShardedCollection("race", self.DIM, shards=shards)
+        )
+        collection.upsert(points[: self.BASE])
+        collection.build_hnsw()
+        parts = getattr(collection, "shard_collections", (collection,))
+        # each part's points as global indices, in its insertion order
+        members = [
+            [i for i in range(total) if shard_for(f"p{i}", shards) == part]
+            for part in range(shards)
+        ]
+        failures: list[BaseException] = []
+
+        def write() -> None:
+            try:
+                for point in points[self.BASE:]:
+                    collection.upsert([point])
+            except BaseException as exc:  # surfaced by the assert below
+                failures.append(exc)
+
+        writer = threading.Thread(target=write, name="race-writer")
+        seen = []
+        writer.start()
+        try:
+            while writer.is_alive():
+                before = [len(part) for part in parts]
+                hits = collection.search(query, self.K, **self.PATHS[path])
+                seen.append((before, hits, [len(part) for part in parts]))
+        finally:
+            writer.join(timeout=60.0)
+        assert not writer.is_alive() and not failures
+        assert len(collection) == total
+
+        scores = vectors @ query
+        for before, hits, after in seen:
+            found = [int(hit.id[1:]) for hit in hits]
+            for hit, index in zip(hits, found):
+                assert hit.score == pytest.approx(scores[index], abs=1e-5)
+            population: list[int] = []
+            for part, low, high in zip(members, before, after):
+                positions = [part.index(i) for i in found if i in part]
+                reach = max([low, *(p + 1 for p in positions)])
+                assert reach <= high  # nothing from after the search
+                population += part[:reach]
+            if "graph" in path:
+                # a traversal is approximate (and a filtered one drops
+                # what the race added from its beam): the hits are
+                # real members of the prefix, best first
+                assert sorted(found, key=lambda i: -scores[i]) == found
+                continue
+            ranked = sorted(population, key=lambda i: -scores[i])
+            assert found == ranked[: self.K]

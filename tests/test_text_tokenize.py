@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import string
+import unicodedata
 
 import pytest
 from hypothesis import given
@@ -33,6 +34,15 @@ class TestNormalize:
 
     def test_non_ascii_dropped(self):
         assert normalize("naïve 東京") == "naive"
+
+    @given(st.text())
+    def test_ascii_shortcut_agrees_with_the_nfkd_path(self, text):
+        """ASCII skips NFKD; everything else still goes through it."""
+        decomposed = unicodedata.normalize("NFKD", text)
+        folded = decomposed.encode("ascii", "ignore").decode("ascii")
+        assert normalize(text) == " ".join(folded.lower().split())
+        # a non-ASCII neighbour must not change how the ASCII part reads
+        assert tokenize(text + " é") == tokenize(text) + ["e"]
 
 
 class TestTokenize:

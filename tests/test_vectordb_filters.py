@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FilterError
 from repro.geo.bbox import BoundingBox
+from repro.geo.point import GeoPoint, haversine_km
 from repro.vectordb.collection import Collection, PointStruct
 from repro.vectordb.filters import (
     And,
@@ -18,7 +24,9 @@ from repro.vectordb.filters import (
     Not,
     Or,
 )
-from repro.vectordb.payload_index import PayloadIndexRegistry
+from repro.vectordb.payload_index import GeoColumn, PayloadIndexRegistry
+from repro.vectordb.persistence import load_collection, save_collection
+from repro.vectordb.sharded import ShardedCollection
 
 PAYLOAD = {
     "city": "Saint Louis",
@@ -262,3 +270,215 @@ class TestFieldRangeIndex:
         want = plain.search(query, k=5, flt=flt, exact=True)
         got = indexed.search(query, k=5, flt=flt, exact=True)
         assert [(h.id, h.score) for h in want] == [(h.id, h.score) for h in got]
+
+
+# ----------------------------------------------------------------------
+# geo column ≡ per-payload scan
+# ----------------------------------------------------------------------
+
+_GEO_KEYS = ("location", "spot")
+# Coordinates sit on a small grid so points land exactly on box edges;
+# the rest is what a payload can hold that is not a place.
+_LATS = (-90.0, -45.5, 0.0, 10.0, 10.5, 45.0, 89.999, 90.0)
+_LONS = (-180.0, -179.5, -90.0, 0.0, 0.5, 90.0, 179.5, 180.0)
+_JUNK = (
+    float("nan"), float("inf"), float("-inf"), True, 7, 10 ** 400,
+    1e300, 500.0,
+)
+_lat = st.sampled_from(_LATS * 3 + _JUNK)
+_lon = st.sampled_from(_LONS * 3 + _JUNK)
+_located = st.fixed_dictionaries({"lat": _lat, "lon": _lon})
+_place = st.one_of(
+    st.none(),
+    st.just("downtown"),
+    st.fixed_dictionaries({"lat": _lat}),
+    _located, _located, _located,
+)
+_geo_payload = st.fixed_dictionaries(
+    {"tag": st.integers(0, 3)},
+    optional={key: _place for key in _GEO_KEYS},
+)
+
+
+@st.composite
+def _boxes(draw) -> BoundingBox:
+    if draw(st.integers(0, 4)) == 0:  # clamped at the pole
+        return BoundingBox.around(
+            GeoPoint(89.999, draw(st.sampled_from(_LONS))), 5.0, 5.0
+        )
+    lats = sorted(draw(st.tuples(*[st.sampled_from(_LATS)] * 2)))
+    # min_lon > max_lon crosses the antimeridian; equal bounds are a line
+    lons = draw(st.tuples(*[st.sampled_from(_LONS)] * 2))
+    return BoundingBox(lats[0], lons[0], lats[1], lons[1])
+
+
+@st.composite
+def _radius_filters(draw) -> GeoRadiusFilter:
+    key = draw(st.sampled_from(_GEO_KEYS))
+    lat = draw(st.sampled_from(_LATS + (-91.0, 500.0)))
+    lon = draw(st.sampled_from(_LONS + (-300.0,)))
+    radius = draw(st.sampled_from((0.001, 5.0, 500.0, 5000.0, 20016.0, 1e9)))
+    if draw(st.booleans()):  # a grid point exactly on the radius
+        on_edge = haversine_km(
+            lat, lon, draw(st.sampled_from(_LATS)), draw(st.sampled_from(_LONS))
+        )
+        radius = on_edge or radius
+    return GeoRadiusFilter(key, lat, lon, radius)
+
+
+_geo_leaf = st.one_of(
+    st.builds(GeoBoundingBoxFilter, st.sampled_from(_GEO_KEYS), _boxes()),
+    _radius_filters(),
+)
+_geo_tree = st.recursive(
+    _geo_leaf,
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.lists(sub, min_size=1, max_size=3).map(lambda fs: And(*fs)),
+        st.lists(sub, min_size=1, max_size=3).map(lambda fs: Or(*fs)),
+    ),
+    max_leaves=4,
+)
+_geo_step = st.one_of(
+    st.tuples(st.just("upsert"), _geo_payload),
+    st.tuples(st.just("replace"), st.integers(0, 999), _geo_payload),
+    st.tuples(
+        st.just("set_payload"), st.integers(0, 999),
+        st.fixed_dictionaries(
+            {}, optional={key: _place for key in _GEO_KEYS}
+        ),
+    ),
+    st.tuples(st.just("reload"), st.booleans()),
+)
+_DIM = 8
+
+
+def _geo_vector(point_id: str) -> np.ndarray:
+    seed = int.from_bytes(point_id.encode(), "big")
+    vector = np.random.default_rng(seed).standard_normal(_DIM)
+    return (vector / np.linalg.norm(vector)).astype(np.float32)
+
+
+class TestGeoColumnEqualsScan:
+    """A bounding box answered by the lat/lon column, and the radius
+    filters and boolean trees that still scan, all agree with
+    evaluating ``flt.matches`` payload by payload — through every write
+    path, a snapshot reload and a WAL replay, single and sharded."""
+
+    @staticmethod
+    def _check(collection, order, payloads, flt, query, graph_branch):
+        try:
+            expected = [pid for pid in order if flt.matches(payloads[pid])]
+        except ValueError:
+            # math.sin(inf): the scalar radius test raises on an
+            # infinite coordinate, and a radius filter is that test
+            with pytest.raises(ValueError):
+                collection.count(flt)
+            return
+        assert collection.count(flt) == len(expected)
+        assert [hit.id for hit in collection.scroll(flt)] == expected
+        scores = {pid: float(_geo_vector(pid) @ query) for pid in expected}
+        ranked = sorted(expected, key=lambda pid: -scores[pid])[:5]
+        found = [hit.id for hit in collection.search(query, 5, flt=flt)]
+        if graph_branch:
+            # ef covers these tiny populations, so the traversal is
+            # exact; equal-score duplicates may still swap places
+            assert sorted(found) == sorted(ranked)
+        else:
+            assert found == ranked
+
+    def test_changed_location_never_tears_under_a_reader(self):
+        """A reader holds the rows it took: a replaced payload's new
+        location lands in a new array, an append in the spare capacity."""
+        column = GeoColumn("location", [{"location": {"lat": 1.0, "lon": 2.0}}])
+        held = column.rows
+        column.set(0, {"location": {"lat": 3.0, "lon": 4.0}})
+        column.set(1, {"location": {"lat": 5.0, "lon": 6.0}})
+        assert held[:, 0].tolist() == [1.0, 2.0]
+        assert column.rows[:, :2].tolist() == [[3.0, 5.0], [4.0, 6.0]]
+
+    def test_unfloatable_location_written_after_the_column_is_built(self):
+        """The column reads the location inside ``upsert``: an int too
+        large for float must be nowhere, not an exception mid-write."""
+        collection = Collection("geo", _DIM)
+        here = {"location": {"lat": 10.0, "lon": 0.0}}
+        collection.upsert([PointStruct("a", _geo_vector("a"), here)])
+        flt = GeoBoundingBoxFilter(
+            "location", BoundingBox(-90.0, -180.0, 90.0, 180.0)
+        )
+        assert collection.count(flt) == 1  # builds the column
+        collection.upsert([PointStruct(
+            "b", _geo_vector("b"), {"location": {"lat": 10 ** 400, "lon": 0}}
+        )])
+        collection.upsert([PointStruct("c", _geo_vector("c"), here)])
+        assert [hit.id for hit in collection.scroll(flt)] == ["a", "c"]
+        assert collection.count() == 3
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=list(HealthCheck),
+    )
+    @given(
+        seeded=st.lists(_geo_payload, min_size=4, max_size=12),
+        steps=st.lists(_geo_step, min_size=1, max_size=8),
+        filters=st.lists(_geo_tree, min_size=2, max_size=4),
+    )
+    def test_column_equals_scan(self, shards, seeded, steps, filters):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._run(Path(tmp) / "snap", shards, seeded, steps, filters)
+
+    def _run(self, snapshot, shards, seeded, steps, filters):
+        collection = (
+            Collection("geo", _DIM) if shards == 1
+            else ShardedCollection("geo", _DIM, shards=shards)
+        )
+        order = [f"p{i}" for i in range(len(seeded))]
+        payloads = {pid: dict(payload) for pid, payload in zip(order, seeded)}
+        query = _geo_vector("query")
+        collection.upsert([
+            PointStruct(pid, _geo_vector(pid), payloads[pid]) for pid in order
+        ])
+        try:
+            for step in [("check",), *steps]:
+                kind = step[0]
+                if kind == "check":  # the first filter builds the columns
+                    pass
+                elif kind == "upsert":
+                    point_id = f"p{len(order)}"
+                    order.append(point_id)
+                    payloads[point_id] = dict(step[1])
+                    collection.upsert([PointStruct(
+                        point_id, _geo_vector(point_id), step[1])])
+                elif kind == "replace":
+                    point_id = order[step[1] % len(order)]
+                    payloads[point_id] = dict(step[2])
+                    collection.upsert([PointStruct(
+                        point_id, _geo_vector(point_id), step[2])])
+                elif kind == "set_payload":
+                    point_id = order[step[1] % len(order)]
+                    payloads[point_id].update(step[2])
+                    collection.set_payload(point_id, step[2])
+                else:  # snapshot reload; a WAL replay when not re-saved
+                    if step[1] or not snapshot.exists():
+                        save_collection(collection, snapshot)
+                    collection.close()
+                    collection = load_collection(
+                        snapshot, mmap=True, wal="off"
+                    )
+                    # replay orders a shard's tail writes, not the
+                    # shards' tails against each other (persistence.py)
+                    reloaded = [hit.id for hit in collection.scroll()]
+                    assert sorted(reloaded) == sorted(order)
+                    order = reloaded
+                for flt in filters:
+                    self._check(
+                        collection, order, payloads, flt, query, False
+                    )
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
+                        self._check(
+                            collection, order, payloads, flt, query, True
+                        )
+        finally:
+            collection.close()
