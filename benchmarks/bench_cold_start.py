@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.vectordb.collection import HnswConfig, PointStruct
+from repro.vectordb.collection import Collection, HnswConfig, PointStruct
 from repro.vectordb.persistence import (
     inspect_snapshot,
     load_collection,
@@ -52,6 +52,10 @@ HNSW = HnswConfig(m=16, ef_construction=100, seed=7)
 SPEEDUP_FLOOR = 2.0
 SPEEDUP_TARGET = 5.0
 EQUIVALENCE_QUERIES = 32
+#: Downscaled with the corpus (production default: 8192): 5 000-row
+#: shards sit under the production threshold, where a load attaches no
+#: graph and a search scans, so there would be no rebuild to measure.
+BRUTE_FORCE_THRESHOLD = 0
 
 CACHE_DIR = Path(os.environ.get("BENCH_COLD_START_DIR", ".bench-cache/cold-start"))
 
@@ -72,6 +76,13 @@ def _corpus_ok(directory: Path, graphs: bool) -> bool:
         and info["shards"] == SHARDS
         and info["graphs_persisted"] == graphs
     )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _walk_graphs():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", BRUTE_FORCE_THRESHOLD)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +108,7 @@ def corpus_dirs() -> tuple[Path, Path]:
         for i in range(N_POINTS)
     )
     collection.create_payload_index("city")
-    collection.build_hnsw(parallel=SHARDS)
+    collection.build_hnsw()
     save_collection(collection, rebuild_dir, include_graphs=False)
     save_collection(collection, attach_dir)
     collection.close()

@@ -29,9 +29,14 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from repro.testing.memwatch import MemWatcher
-from repro.vectordb.collection import DEFAULT_RESCORE_FACTOR, PointStruct
+from repro.vectordb.collection import (
+    DEFAULT_RESCORE_FACTOR,
+    Collection,
+    PointStruct,
+)
 from repro.vectordb.persistence import load_collection, save_collection
 from repro.vectordb.quantization import SQ8Store
 from repro.vectordb.sharded import ShardedCollection
@@ -50,6 +55,17 @@ RECALL_RATIO_FLOOR = 0.95
 #: the mmap'd quantized snapshot must stay under this fraction of the
 #: float32 matrix.
 RESIDENT_RATIO_CEILING = 0.5
+#: Downscaled with the corpus (production default: 8192): 5 000-row
+#: shards sit under the production threshold, where both tiers would
+#: scan float32 instead of walking the graph this bench compares.
+BRUTE_FORCE_THRESHOLD = 0
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _walk_graphs():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", BRUTE_FORCE_THRESHOLD)
+        yield
 
 
 def _unit_vectors(n: int, seed: int) -> np.ndarray:

@@ -10,10 +10,10 @@ Three steps, exactly as the paper lays out:
    and tip summary" with the (simulated) text-embedding-3-small and store
    the vectors with full attribute payloads in the vector database.
 
-Embedding generation also builds the collection's HNSW graph eagerly
-(per-shard graphs in parallel worker processes for sharded collections)
-— graph construction is the dominant offline cost, and paying it at
-prepare time means the first query never stalls on a lazy build.
+Embedding generation also builds, eagerly, the HNSW graph of every
+collection or shard big enough for a search to walk one (more than
+``Collection.BRUTE_FORCE_THRESHOLD`` points; smaller ones are scanned
+and get no graph), so the first query never stalls on a lazy build.
 ``eager_index=False`` restores the lazy behaviour.
 """
 
@@ -135,10 +135,8 @@ class DataPreparation:
             )
         collection.upsert(points)
         if self._eager_index:
-            # Pay for graph construction here, not on the first query;
-            # sharded collections build their per-shard graphs in
-            # parallel worker processes.
-            collection.build_hnsw()
+            # Pay for graph construction here, not on the first query.
+            collection.build_hnsw_if_needed()
 
     def prepare(self, dataset: Dataset, collection_name: str | None = None) -> PreparedCity:
         """Run all three steps; returns a handle for query processing."""

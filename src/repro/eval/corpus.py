@@ -46,9 +46,10 @@ def build_corpus(
     ``shards > 1`` stores the embeddings in a hash-partitioned
     :class:`~repro.vectordb.sharded.ShardedCollection` instead of a single
     collection; the query pipeline is identical over either backend.
-    Preparation builds the HNSW graph(s) eagerly — per shard, in parallel
-    — so queries never pay for graph construction; ``eager_index=False``
-    restores the lazy build.
+    Preparation builds eagerly every HNSW graph a search would walk
+    (only collections or shards above ``BRUTE_FORCE_THRESHOLD`` points
+    get one), so queries never pay for graph construction;
+    ``eager_index=False`` restores the lazy build.
     """
     city = city_by_code(city_code)
     graph, lexicon = default_ontology()

@@ -14,9 +14,10 @@ config, and payload-index fields; ``load_collection(..., mmap=True)``
 serves large collections off the page cache; see
 :mod:`repro.vectordb.persistence`).
 
-Offline index lifecycle: ``build_hnsw`` on either backend constructs the
-HNSW graph(s) eagerly — sharded collections build per-shard graphs in
-parallel worker processes — and :func:`reshard_snapshot` rewrites a saved
+Offline index lifecycle: a collection (or shard) holds an HNSW graph only
+above ``Collection.BRUTE_FORCE_THRESHOLD`` points, where a search walks
+one; ``build_hnsw_if_needed`` on either backend builds those graphs
+eagerly, one shard after another, and :func:`reshard_snapshot` rewrites a saved
 snapshot for a different shard count, logged WAL tail included
 (``VectorDBClient.reshard_collection`` is the in-memory equivalent; both
 go through :func:`~repro.vectordb.sharded.reroute`), so shard counts are

@@ -144,9 +144,9 @@ class VectorDBClient:
         the HNSW config carry over,
         and the old backend is closed and replaced under the same name.
         ``new_shards=1`` produces a plain (unsharded) collection. If the
-        old backend had its HNSW graphs built, the new one is built
-        eagerly too, so resharding never reintroduces first-search
-        latency.
+        old backend had its HNSW graphs built, the new one builds the
+        graphs its searches would walk eagerly too, so resharding never
+        reintroduces first-search latency.
         """
         old = self.get_collection(name)
         if new_shards <= 0:
@@ -168,7 +168,7 @@ class VectorDBClient:
         old.close()
         self._collections[name] = new
         if was_built:
-            new.build_hnsw()
+            new.build_hnsw_if_needed()
         return new
 
     def save(self, name: str, directory: str | Path) -> None:

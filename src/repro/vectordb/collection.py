@@ -1,30 +1,33 @@
 """A vector-database collection: points with payloads, HNSW + exact search.
 
 Mirrors the Qdrant surface the SemaSK pipeline uses: upsert points with
-payloads, then run (optionally filtered) kNN searches. Filtered searches
-follow the same strategy real engines use: when the filter is selective,
-score the matching subset exactly; when it is broad, traverse the HNSW
-graph with a predicate.
+payloads, then run (optionally filtered) kNN searches. One rule picks
+the path, with or without a filter: count the rows in play (the filter's
+matches, or every point). At most ``BRUTE_FORCE_THRESHOLD`` of them are
+scanned exactly — a float32 scan, on the sq8 tier too; more walk the
+HNSW graph (with a predicate when filtered, over the codes when
+quantized). Qdrant draws the same line: a segment under its indexing
+threshold has no HNSW index and is searched by a plain scan.
 
 One read path: :meth:`Collection.search_batch` answers many queries against
 one filter in a single call — the filter's candidate set is computed once
 and shared across the whole batch, and exact scoring runs as one
-matrix–matrix product. One place (``_score``, under it) chooses between
-exact, brute-force, quantized and graph scoring;
-:meth:`Collection.search` is a batch of one, so a query gets the same
+matrix–matrix product. One place (``_score``, under it) applies that
+rule, :meth:`Collection.needs_graph`; :meth:`Collection.search` is a
+batch of one, so a query gets the same
 hits alone as in any batch (scores equal up to float accumulation
 order).
 
-Index lifecycle: the HNSW graph can be built eagerly with
-:meth:`Collection.build_hnsw` (the bulk-scored
-:meth:`~repro.vectordb.hnsw.HNSWIndex.from_vectors` path, used by the
-data-preparation step so first-query latency never pays for graph
-construction) or attached from an external build with
-:meth:`Collection.attach_hnsw` (sharded collections build per-shard
-graphs in parallel worker processes). A graph is never required: exact
-and selective-filter searches bypass it, and any approximate search on a
-graph-less collection still builds one on demand. Points upserted after
-a build are appended to the live graph, so it cannot go stale.
+Index lifecycle: a graph exists only where a search walks one. The
+first search above the threshold builds it under the write lock (the
+bulk-scored :meth:`~repro.vectordb.hnsw.HNSWIndex.from_vectors` path);
+:meth:`Collection.build_hnsw_if_needed` pays that at data-preparation
+time instead, and a snapshot load attaches a persisted graph only above
+the threshold. :meth:`Collection.build_hnsw` builds one regardless, and
+:meth:`Collection.attach_hnsw` installs an external build. Points
+upserted while a graph exists are appended to it, so it cannot go
+stale; below the threshold there is no graph, and an upsert links
+nothing.
 
 Durability and concurrency: every write path (``upsert``,
 ``set_payload``, ``create_payload_index``) runs under a collection-level
@@ -117,13 +120,17 @@ class SearchParams:
 
     * ``k`` — hits wanted; ``0`` returns none, more than the (matching)
       population truncates to it.
-    * ``flt`` — payload filter; at most ``BRUTE_FORCE_THRESHOLD``
-      matches are scored exactly, broader (or no) filters use the graph.
+    * ``flt`` — payload filter. Its matches (or, with no filter, every
+      point) are the rows in play: at most ``BRUTE_FORCE_THRESHOLD`` of
+      them are scanned exactly, more walk the graph.
     * ``exact`` — force brute-force scoring (how recall is measured).
-    * ``ef`` — HNSW beam width (default ``HnswConfig.ef_search``).
-    * ``rescore_factor`` — ``quantize="sq8"`` collections traverse
-      uint8 codes and rescore the top ``rescore_factor·k`` against
-      float32 (default ``DEFAULT_RESCORE_FACTOR``); ignored otherwise.
+    * ``ef`` — HNSW beam width (default ``HnswConfig.ef_search``); only
+      a search above the threshold walks a beam.
+    * ``rescore_factor`` — ``quantize="sq8"`` collections above the
+      threshold traverse uint8 codes and rescore the top
+      ``rescore_factor·k`` against float32 (default
+      ``DEFAULT_RESCORE_FACTOR``); ignored otherwise, since a scan
+      below the threshold is float32 already.
 
     Out-of-range fields raise ``ValueError`` here and nowhere else.
     Equal params on one collection may share a batched call, so the
@@ -204,7 +211,8 @@ class SnapshotView:
 class Collection:
     """A named set of points over a fixed-dimension vector space."""
 
-    #: Filtered searches over at most this many matches use exact scoring.
+    #: Searches with at most this many rows in play scan exactly; only
+    #: larger ones walk a graph (see :meth:`needs_graph`).
     BRUTE_FORCE_THRESHOLD = 8192
 
     def __init__(
@@ -516,6 +524,17 @@ class Collection:
                 )
         return column.rows[:, :n]
 
+    def needs_graph(self, rows: int | None = None) -> bool:
+        """Whether a search with ``rows`` rows in play walks a graph.
+
+        The one rule behind scan-or-walk, graph builds and graph loads:
+        more than ``BRUTE_FORCE_THRESHOLD`` rows. ``rows`` defaults to
+        every point — the unfiltered search, and the widest filter.
+        """
+        if rows is None:
+            rows = len(self._ids)
+        return rows > self.BRUTE_FORCE_THRESHOLD
+
     @property
     def hnsw_is_built(self) -> bool:
         """Whether an HNSW graph exists and covers every point."""
@@ -560,14 +579,19 @@ class Collection:
                     index.add(self._flat.vector(node))
             return index
 
+    def build_hnsw_if_needed(self) -> None:
+        """:meth:`build_hnsw` now if a search here would walk a graph
+        (:meth:`needs_graph`), so the first one does not pay for it."""
+        if self.needs_graph():
+            self.build_hnsw()
+
     def attach_hnsw(self, index: HNSWIndex) -> None:
         """Install an externally built graph.
 
         The graph must have been built from this collection's vectors in
         node-id (insertion) order — e.g. by ``HNSWIndex.from_vectors``
-        over a :meth:`vector_matrix` copy in a worker process (parallel
-        per-shard builds), or restored from a snapshot by
-        ``HNSWIndex.from_arrays``. It may trail behind points upserted
+        over a :meth:`vector_matrix` copy, or restored from a snapshot
+        by ``HNSWIndex.from_arrays``. It may trail behind points upserted
         after the build was started; the missing tail is appended on the
         next :meth:`build_hnsw` or approximate search. Raises
         :class:`~repro.errors.CollectionError` when the graph's dim
@@ -672,41 +696,32 @@ class Collection:
         params: SearchParams,
         mask: np.ndarray | None,
     ) -> list[list[tuple[int, float]]]:
-        """``(node, score)`` lists per query: the one place that chooses
-        between exact, brute-force, quantized and graph scoring.
+        """``(node, score)`` lists per query: the one place that applies
+        :meth:`needs_graph` — scan the rows in play, or walk a graph.
 
         ``mask`` marks the nodes a filter matched (``None``: no filter);
         no node at or past ``mask.size`` is returned.
         """
-        k, exact = params.k, params.exact
-        quantized = self._sq8 is not None and not exact
-        ef = params.ef or self._hnsw_config.ef_search
-        if mask is None:
-            if exact:
-                return self._flat.search_batch(queries, k)
-            if quantized:
-                return [
-                    self._sq8_graph_search(query, params)
-                    for query in queries
-                ]
-            return self.build_hnsw().search_batch(queries, k, ef=ef)
+        matching = None if mask is None else np.flatnonzero(mask)
+        rows = len(self._ids) if matching is None else matching.size
+        if params.exact or not self.needs_graph(rows):
+            return self._flat.search_batch(queries, params.k, subset=matching)
 
-        matching = np.flatnonzero(mask)
-        if exact or matching.size <= self.BRUTE_FORCE_THRESHOLD:
-            return self._flat.search_batch(queries, k, subset=matching)
+        passes = None
+        if mask is not None:
+            def passes(node: int) -> bool:
+                # a node a concurrent upsert appended after the filter
+                # ran lies past the mask: it does not match
+                return node < mask.size and mask[node]
 
-        def passes(node: int) -> bool:
-            # a node a concurrent upsert appended after the filter
-            # ran lies past the mask: it does not match
-            return node < mask.size and mask[node]
-
-        if quantized:
+        if self._sq8 is not None:
             return [
                 self._sq8_graph_search(query, params, matching, passes)
                 for query in queries
             ]
         return self.build_hnsw().search_batch(
-            queries, k, ef=ef, predicate=passes
+            queries, params.k, ef=params.ef or self._hnsw_config.ef_search,
+            predicate=passes,
         )
 
     @array_contract(vector="d:float32")
@@ -729,7 +744,7 @@ class Collection:
 
         A batch of one: after the shape check this is
         ``search_batch(vector[None], ...)[0]``, so the path choice
-        (exact / brute-force / sq8 / graph) lives in one place.
+        (scan or graph walk) lives in one place.
         """
         query = np.asarray(vector, dtype=np.float32)
         if query.shape != (self.dim,):
@@ -750,9 +765,9 @@ class Collection:
 
         The read path (:meth:`search` is a batch of one): the filter's
         matching-node set is evaluated once for the whole batch (the
-        dominant cost of a filtered search over payloads), exact scoring
-        dispatches to the flat index's matrix–matrix path, and the HNSW
-        path reuses the graph's vectorized traversal per query. Returns
+        dominant cost of a filtered search over payloads), a scan
+        dispatches to the flat index's matrix–matrix path, and a graph
+        walk reuses the graph's vectorized traversal per query. Returns
         one hit list per query; a query's hits do not depend on what
         else rides in the batch. ``k`` / ``knobs`` resolve to one
         :class:`SearchParams`; the two ``deadline`` choke points (entry,

@@ -38,9 +38,15 @@ similarities to every earlier node with one chunked matrix product —
 inside the beam search, neighbour blocks are then scored by a row gather
 instead of a fresh gather + dot per visit. Offline index builds (prepare
 time, snapshot loads) use this path; ``add`` remains the incremental path
-that keeps an already-built graph fresh under later upserts. Built
-indexes pickle (the thread-local visited scratch is rebuilt on load), so
-per-shard graphs can be constructed in worker processes and shipped back.
+that keeps an already-built graph fresh under later upserts.
+
+Reads racing an ``add``: a walk captures the node count once and visits
+nothing outside ``[0, count)``. A racing ``add`` may link new nodes into
+rows the walk reads, or ``_grow`` the arrays between the walk's read of
+an adjacency row and of its length; the walk filters its layer-0
+neighbour blocks to ``[0, count)`` only once the graph has grown past
+the count, so an uncontended walk pays one ``len`` per block for the
+check.
 
 Persistence: :meth:`HNSWIndex.to_arrays` flattens the graph into a few
 compact numpy arrays (levels, per-layer link counts, one concatenated
@@ -111,17 +117,6 @@ class HNSWIndex:
     def __len__(self) -> int:
         return self._count
 
-    def __getstate__(self) -> dict:
-        # The thread-local visited scratch holds per-thread numpy arrays
-        # and cannot (and need not) cross process boundaries.
-        state = self.__dict__.copy()
-        del state["_visited_tls"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._visited_tls = threading.local()
-
     @property
     def dim(self) -> int:
         """Vector dimensionality."""
@@ -160,12 +155,16 @@ class HNSWIndex:
         self._adj0[node, : len(links)] = links
         self._adj0_len[node] = len(links)
 
-    def _take_visit_stamp(self) -> tuple[np.ndarray, int]:
-        """This thread's stamp array (sized to capacity) and a fresh stamp."""
+    def _take_visit_stamp(self, limit: int) -> tuple[np.ndarray, int]:
+        """This thread's stamp array (covering nodes ``[0, limit)``, sized
+        to capacity so a growing index reallocates it rarely) and a fresh
+        stamp."""
         tls = self._visited_tls
         stamp_array = getattr(tls, "stamp_array", None)
-        if stamp_array is None or stamp_array.shape[0] < self._vectors.shape[0]:
-            stamp_array = np.zeros(self._vectors.shape[0], dtype=np.int64)
+        if stamp_array is None or stamp_array.shape[0] < limit:
+            stamp_array = np.zeros(
+                max(limit, self._vectors.shape[0]), dtype=np.int64
+            )
             tls.stamp_array = stamp_array
             tls.counter = 0
         tls.counter += 1
@@ -183,17 +182,20 @@ class HNSWIndex:
         entry_points: list[tuple[float, int]],
         ef: int,
         layer: int,
+        limit: int,
     ) -> list[tuple[float, int]]:
         """Beam search (Algorithm 2). Returns up to ``ef`` (sim, node) pairs.
 
         ``entry_points`` are (similarity, node) seeds; result is unsorted.
+        ``limit`` is the node count the walk captured: no node at or past
+        it is visited, whatever a racing ``add`` links or grows meanwhile.
 
         The layer-0 hot path gathers each visited node's neighbour block
         from the padded adjacency matrix, masks already-seen nodes with the
         stamped visited array, and scores the block with a single dot — no
         per-neighbour Python membership tests or list-to-array conversions.
         """
-        visit_stamp, stamp = self._take_visit_stamp()
+        visit_stamp, stamp = self._take_visit_stamp(limit)
         for _, node in entry_points:
             visit_stamp[node] = stamp
         # candidates: max-heap by similarity (store negated); results: min-heap.
@@ -217,8 +219,14 @@ class HNSWIndex:
                 # the results are identical to the per-neighbour original.
                 # A copy, not a view: a racing add() rewrites adjacency
                 # rows in place, and ids read after the scoring would no
-                # longer be the ids that were scored.
+                # longer be the ids that were scored. Once a node has
+                # been added (``_links`` is shared with traversal views,
+                # so they see it move too), the block may hold nodes past
+                # ``limit``, or the -1 padding of a pre-_grow() row read
+                # with a grown length: keep ``[0, limit)`` only.
                 block = self._adj0[node, : self._adj0_len[node]].copy()
+                if len(self._links) != limit:
+                    block = block[(block >= 0) & (block < limit)]
                 if block.size == 0:
                     continue
                 sims = self._vectors[block] @ query
@@ -244,7 +252,7 @@ class HNSWIndex:
                 continue
             neighbors = [
                 n for n in self._links[node][layer]
-                if visit_stamp[n] != stamp
+                if n < limit and visit_stamp[n] != stamp
             ]
             if not neighbors:
                 continue
@@ -336,13 +344,17 @@ class HNSWIndex:
         entry: list[tuple[float, int]] = [(ep_sim, self._entry_point)]
 
         # Greedy descent through layers above the new node's level.
+        limit = self._count
         for layer in range(self._max_level, level, -1):
-            entry = self._search_layer(query, entry, ef=1, layer=layer)
+            entry = self._search_layer(
+                query, entry, ef=1, layer=layer, limit=limit
+            )
 
         # Insert with beam search on each layer from min(level, max) down.
         for layer in range(min(level, self._max_level), -1, -1):
             found = self._search_layer(
-                query, entry, ef=self._ef_construction, layer=layer
+                query, entry, ef=self._ef_construction, layer=layer,
+                limit=limit,
             )
             self._link_new_node(node, layer, found)
             entry = found
@@ -709,11 +721,22 @@ class HNSWIndex:
         if predicate is not None:
             ef_search = max(ef_search, 4 * k)
 
-        ep_sim = float(self._vectors[self._entry_point] @ query)
-        entry: list[tuple[float, int]] = [(ep_sim, self._entry_point)]
-        for layer in range(self._max_level, 0, -1):
-            entry = self._search_layer(query, entry, ef=1, layer=layer)
-        found = self._search_layer(query, entry, ef=ef_search, layer=0)
+        # The entry point first, then the count: add() publishes a new
+        # entry only after counting it, so ``entry_point < limit``. The
+        # descent starts from the entry's own top layer, which a racing
+        # add() cannot make inconsistent with it the way ``_max_level``
+        # (written separately) could.
+        entry_point = self._entry_point
+        limit = self._count
+        ep_sim = float(self._vectors[entry_point] @ query)
+        entry: list[tuple[float, int]] = [(ep_sim, entry_point)]
+        for layer in range(len(self._links[entry_point]) - 1, 0, -1):
+            entry = self._search_layer(
+                query, entry, ef=1, layer=layer, limit=limit
+            )
+        found = self._search_layer(
+            query, entry, ef=ef_search, layer=0, limit=limit
+        )
 
         hits = sorted(found, key=lambda pair: -pair[0])
         out: list[tuple[int, float]] = []

@@ -11,9 +11,12 @@ directory with:
 * ``graph.npz`` — the built HNSW graph as compact numpy arrays
   (:meth:`~repro.vectordb.hnsw.HNSWIndex.to_arrays`), written only when
   the graph covered every point at save time. On load it is attached
-  as-is, making cold start O(metadata) instead of O(graph rebuild); a
-  missing, truncated, or config-mismatched graph file degrades to the
-  old lazy rebuild with a :class:`RuntimeWarning`, never a failed load;
+  as-is when the collection is big enough for a search to walk it
+  (:meth:`~repro.vectordb.collection.Collection.needs_graph`), making
+  cold start O(metadata) instead of O(graph rebuild), and ignored
+  otherwise; a missing, truncated, or config-mismatched graph file
+  degrades to the lazy rebuild with a :class:`RuntimeWarning`, never a
+  failed load;
 * ``codes.npy`` + ``codebook.npz`` — the int8 scalar-quantized tier
   (written only for ``quantize="sq8"`` collections): raw
   uint8 codes mmap-able exactly like the vectors, the per-dimension
@@ -376,9 +379,11 @@ def load_collection(
     ``hnsw`` overrides the snapshot's stored config; when omitted, the
     config active at save time is restored. Payload indexes recorded in
     the snapshot are rebuilt, and persisted HNSW graphs are attached
-    instead of rebuilt — unless the graph file is damaged or disagrees
-    with the collection, in which case the load degrades to the lazy
-    rebuild with a warning.
+    instead of rebuilt wherever a search would walk one (above
+    ``Collection.BRUTE_FORCE_THRESHOLD`` points; below it a graph file
+    is ignored, so no upsert links a node) — unless the graph file is
+    damaged or disagrees with the collection, in which case the load
+    degrades to the lazy rebuild with a warning.
 
     ``mmap=True`` memory-maps the vector matrix read-only instead of
     loading it into RAM. Searches read straight off the page cache; a
@@ -580,12 +585,12 @@ def migrate_snapshot(
 ) -> Path:
     """Rewrite a snapshot as schema v4 (CLI ``snapshot migrate``).
 
-    Loads the snapshot, optionally builds missing HNSW graphs so they
-    are persisted too (``build_graphs=True``, the default
-    — the whole point of migrating is a fast cold start), and saves it
-    back atomically. ``build_graphs=False`` writes no graph files at all,
-    even ones the source snapshot carried — the opt-out exists to strip
-    graphs, not merely to skip building them. ``quantize="sq8"`` fits a
+    Loads the snapshot, optionally builds the missing HNSW graphs a
+    search would walk so they are persisted too (``build_graphs=True``,
+    the default — the whole point of migrating is a fast cold start),
+    and saves it back atomically. ``build_graphs=False`` writes no graph
+    files at all, even ones the source snapshot carried — the opt-out
+    exists to strip graphs, not merely to skip building them. ``quantize="sq8"`` fits a
     codebook and persists the quantized tier for a snapshot that never
     had one (an existing tier is carried over either way — migration is
     also how a v3 snapshot gains codes without re-ingesting).
@@ -604,8 +609,8 @@ def migrate_snapshot(
                 if shard.quantize is None:
                     # snapshot_view syncs (fits + encodes) before saving.
                     shard.attach_sq8(SQ8Store(shard.dim))
-        if build_graphs and len(collection):
-            collection.build_hnsw()
+        if build_graphs:
+            collection.build_hnsw_if_needed()
         save_collection(collection, target, include_graphs=build_graphs)
     finally:
         collection.close()
@@ -806,7 +811,8 @@ def _attach_stored_graph(
     config: HnswConfig,
     stored: HnswConfig,
 ) -> None:
-    """Attach ``graph.npz`` to a freshly loaded collection, if usable.
+    """Attach ``graph.npz`` to a freshly loaded collection, if usable
+    and if a search there walks a graph (``collection.needs_graph()``).
 
     The graph must structurally validate against the collection's vector
     matrix (``HNSWIndex.from_arrays`` checks sizes, ranges, and degree
@@ -822,7 +828,7 @@ def _attach_stored_graph(
     file.
     """
     graph_path = directory / _GRAPH_FILE
-    if not graph_path.exists():
+    if not graph_path.exists() or not collection.needs_graph():
         return
     try:
         if (config.m, config.ef_construction, config.seed) != (

@@ -12,20 +12,15 @@ Searches fan out across shards as a loop on the calling thread —
 per-shard searches are Python-bound, so threads would only queue on the
 GIL; reads scale past one interpreter as ``repro serve`` replicas behind
 ``repro route`` (docs/serving.md, "Reads across cores") — and the
-per-shard top-k lists are merged into the exact global top-k. Offline
-index builds do fan out, on a *process* pool:
-:meth:`ShardedCollection.build_hnsw` builds each shard's HNSW graph in
-a worker process (graph construction is Python-heavy, so threads would
-serialize on the GIL) and attaches the pickled results — data
-preparation calls it eagerly so queries never pay for lazy graph
-construction. Filters are evaluated per shard, against that shard's
-payloads and payload indexes only — which also keeps each shard's
-filtered candidate set small enough for the exact brute-force path where
-a monolithic collection would spill past ``BRUTE_FORCE_THRESHOLD`` into
-graph traversal.
+per-shard top-k lists are merged into the exact global top-k. Each
+shard applies :meth:`Collection.needs_graph` to its own rows in play,
+so a shard at or under ``BRUTE_FORCE_THRESHOLD`` scans and holds no
+graph; graph builds, like searches, are a loop over the shards. Filters
+are evaluated per shard, against that shard's payloads and payload
+indexes only.
 
 Equivalence contract: on the exact-scoring paths (``exact=True``, or any
-filtered search whose per-shard candidate sets stay under the brute-force
+search whose per-shard rows in play stay under the brute-force
 threshold) a sharded search returns the same hits as an unsharded
 collection holding the same points, with scores equal up to float
 accumulation order — up to *exact score ties*: points with identical
@@ -40,15 +35,10 @@ the unsharded graph holds in general.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
 import threading
-import warnings
 import zlib
 from collections.abc import Iterable, Sequence
 from itertools import chain
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Union
 
 import numpy as np
@@ -65,40 +55,6 @@ from repro.vectordb.collection import (
 from repro.vectordb.deadline import Deadline
 from repro.vectordb.distance import Metric
 from repro.vectordb.filters import Filter
-from repro.vectordb.hnsw import HNSWIndex
-
-
-def _build_pool_context():
-    """Start-method context for the per-shard build pool.
-
-    ``fork`` is the cheap path (no re-import in the workers) but is only
-    safe while the process is single-threaded — forking with live
-    threads (e.g. a server's handler threads) can clone a held lock
-    into the child and deadlock it. The eager prepare-time build runs
-    single-threaded, so it gets ``fork``; otherwise fall back to
-    ``forkserver``/``spawn``, whose workers start clean.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods and threading.active_count() == 1:
-        return multiprocessing.get_context("fork")
-    if "forkserver" in methods:
-        return multiprocessing.get_context("forkserver")
-    return multiprocessing.get_context("spawn")
-
-
-def _build_shard_graph(
-    payload: tuple[np.ndarray, int, HnswConfig]
-) -> HNSWIndex:
-    """Worker-process entry: build one shard's HNSW graph from its vectors.
-
-    Module-level so it is importable under both ``fork`` and ``spawn``
-    start methods; the built index pickles back to the parent.
-    """
-    vectors, dim, cfg = payload
-    return HNSWIndex.from_vectors(
-        vectors, m=cfg.m, ef_construction=cfg.ef_construction,
-        seed=cfg.seed, dim=dim,
-    )
 
 
 def shard_for(point_id: str, n_shards: int) -> int:
@@ -282,60 +238,20 @@ class ShardedCollection:
             shard.hnsw_is_built for shard in self._shards if len(shard)
         )
 
-    def build_hnsw(self, parallel: int | None = None,
-                   force: bool = False) -> None:
-        """Build every shard's HNSW graph now, in parallel worker processes.
+    def build_hnsw(self, force: bool = False) -> None:
+        """:meth:`Collection.build_hnsw` on every non-empty shard, in turn.
 
-        Graph construction is the dominant offline cost and per-shard
-        builds are independent, so shards that need a graph are built on a
-        process pool (construction is Python-and-numpy-heavy, where a
-        thread pool would serialize on the GIL) and the finished graphs
-        are pickled back and attached. ``parallel`` caps the worker count
-        (default: one per pending shard, bounded by the CPU count);
-        ``parallel=1``, a single pending shard, or an unusable process
-        pool (e.g. a sandbox that forbids subprocesses) all degrade to
-        the same in-process bulk builds. ``force`` rebuilds existing
-        graphs too. Idempotent: shards already covered are skipped.
+        ``force`` rebuilds existing graphs too. Idempotent: shards
+        already covered are skipped.
         """
-        pending = [
-            shard for shard in self._shards
-            if len(shard) and (force or not shard.hnsw_is_built)
-        ]
-        if not pending:
-            return
-        if parallel is None:
-            parallel = min(len(pending), os.cpu_count() or 1)
-        if parallel > 1 and len(pending) > 1:
-            jobs = [
-                (shard.vector_matrix(), shard.dim, shard.hnsw_config)
-                for shard in pending
-            ]
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(parallel, len(pending)),
-                    mp_context=_build_pool_context(),
-                ) as pool:
-                    graphs = list(pool.map(_build_shard_graph, jobs))
-            except (OSError, RuntimeError, pickle.PicklingError) as exc:
-                # Pool could not start or died mid-build (sandboxes that
-                # forbid subprocesses raise OSError; a killed worker
-                # surfaces as BrokenProcessPool, a RuntimeError). The
-                # in-process fallback below produces identical graphs,
-                # just slower — say so instead of degrading silently.
-                warnings.warn(
-                    "parallel HNSW build failed "
-                    f"({type(exc).__name__}: {exc}); falling back to "
-                    "in-process builds",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                graphs = None
-            if graphs is not None:
-                for shard, graph in zip(pending, graphs):
-                    shard.attach_hnsw(graph)
-                return
-        for shard in pending:
-            shard.build_hnsw(force=force)
+        for shard in self._shards:
+            if len(shard) and (force or not shard.hnsw_is_built):
+                shard.build_hnsw(force=force)
+
+    def build_hnsw_if_needed(self) -> None:
+        """:meth:`Collection.build_hnsw_if_needed` on every shard."""
+        for shard in self._shards:
+            shard.build_hnsw_if_needed()
 
     def close(self) -> None:
         """Flush and close any shard write-ahead logs (idempotent).
@@ -488,11 +404,10 @@ class ShardedCollection:
         ``order`` is the global insertion order persisted alongside the
         shards; it must cover exactly the ids present across ``shards``.
         Shards arrive with whatever state the loader restored — payload
-        indexes rebuilt, and (schema v3) persisted HNSW graphs already
-        attached, so :attr:`hnsw_is_built` is True straight after a v3
-        load and the first query pays no reconstruction. A shard whose
-        graph file was damaged arrives graph-less and rebuilds lazily,
-        independent of its siblings.
+        indexes rebuilt, and a persisted HNSW graph attached to each
+        shard above the threshold, so the first query there pays no
+        reconstruction. A shard whose graph file was damaged arrives
+        graph-less and rebuilds lazily, independent of its siblings.
         """
         if not shards:
             raise CollectionError("from_shards needs at least one shard")

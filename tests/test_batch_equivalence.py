@@ -212,6 +212,8 @@ class TestCollectionSearchBatch:
     def test_hnsw_unfiltered(self, seed, dim, k):
         collection = build_collection(seed, dim)
         oracle = Oracle(seed, dim)
+        # Force the graph walk for an unfiltered search.
+        collection.BRUTE_FORCE_THRESHOLD = 0
         queries = unit_vectors(12, dim, seed + 600)
         batch = collection.search_batch(queries, k)
         for hits, q in zip(batch, queries):

@@ -1,15 +1,15 @@
-"""Offline HNSW build lifecycle: bulk construction, eager/parallel builds.
+"""Offline HNSW build lifecycle: bulk construction, eager builds, and
+the rule that a graph exists only where a search walks one.
 
 Covers the bulk ``HNSWIndex.from_vectors`` constructor (recall parity
-with the incremental insert loop, determinism, pickling for process
-workers), the explicit ``build_hnsw`` entry points on both collection
-backends (idempotence, staleness catch-up after ``attach_hnsw``), and the
-prepare-time eager build.
+with the incremental insert loop, determinism), the explicit
+``build_hnsw`` entry points on both collection backends (idempotence,
+staleness catch-up after ``attach_hnsw``), the prepare-time eager build,
+and ``Collection.needs_graph``: at or below ``BRUTE_FORCE_THRESHOLD``
+rows a search scans, nothing builds, attaches or links a graph.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +18,18 @@ from repro.errors import CollectionError
 from repro.vectordb.collection import Collection, PointStruct
 from repro.vectordb.flat import FlatIndex
 from repro.vectordb.hnsw import HNSWIndex
+from repro.vectordb.persistence import (
+    inspect_snapshot,
+    load_collection,
+    save_collection,
+)
 from repro.vectordb.sharded import ShardedCollection
+
+
+@pytest.fixture
+def walk_graphs(monkeypatch):
+    """Keep the graph paths: below the threshold a search scans."""
+    monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
 
 
 def unit_vectors(n: int, dim: int, seed: int = 0) -> np.ndarray:
@@ -102,17 +113,8 @@ class TestFromVectors:
         assert len(index) == 200
         assert index.search(vecs[180], 1, ef=64)[0][0] == 180
 
-    def test_pickle_round_trip(self):
-        vecs = unit_vectors(250, 16, seed=6)
-        index = HNSWIndex.from_vectors(vecs)
-        clone = pickle.loads(pickle.dumps(index))
-        q = unit_vectors(1, 16, seed=11)[0]
-        assert clone.search(q, 5) == index.search(q, 5)
-        # The restored index accepts further inserts and searches.
-        clone.add(unit_vectors(1, 16, seed=12)[0])
-        assert len(clone) == 251
 
-
+@pytest.mark.usefixtures("walk_graphs")
 class TestCollectionBuild:
     def test_build_is_idempotent(self):
         vecs = unit_vectors(120, 16)
@@ -173,13 +175,14 @@ class TestCollectionBuild:
         assert collection.search(vecs[55], 1)[0].id == "p55"
 
 
+@pytest.mark.usefixtures("walk_graphs")
 class TestShardedBuild:
-    def test_parallel_build_then_search(self):
+    def test_build_then_search(self):
         vecs = unit_vectors(600, 16, seed=10)
         sharded = ShardedCollection("s", 16, shards=4)
         sharded.upsert(points_of(vecs))
         assert not sharded.hnsw_is_built
-        sharded.build_hnsw(parallel=4)
+        sharded.build_hnsw()
         assert sharded.hnsw_is_built
         for shard in sharded.shard_collections:
             assert not len(shard) or shard.hnsw_is_built
@@ -188,31 +191,31 @@ class TestShardedBuild:
         assert len(approx & exact) >= 5
         sharded.close()
 
-    def test_serial_build_equals_parallel_build(self):
+    def test_same_points_build_same_graphs(self):
         vecs = unit_vectors(400, 16, seed=11)
         q = unit_vectors(1, 16, seed=12)[0]
-        parallel = ShardedCollection("p", 16, shards=3)
-        parallel.upsert(points_of(vecs))
-        parallel.build_hnsw(parallel=3)
-        serial = ShardedCollection("s", 16, shards=3)
-        serial.upsert(points_of(vecs))
-        serial.build_hnsw(parallel=1)
+        first = ShardedCollection("a", 16, shards=3)
+        first.upsert(points_of(vecs))
+        first.build_hnsw()
+        second = ShardedCollection("b", 16, shards=3)
+        second.upsert(points_of(vecs))
+        second.build_hnsw()
         # Same per-shard vectors + same seeded build -> same graphs.
-        assert [h.id for h in parallel.search(q, 10)] == [
-            h.id for h in serial.search(q, 10)
+        assert [h.id for h in first.search(q, 10)] == [
+            h.id for h in second.search(q, 10)
         ]
-        parallel.close()
-        serial.close()
+        first.close()
+        second.close()
 
     def test_build_skips_built_shards(self):
         vecs = unit_vectors(200, 16, seed=13)
         sharded = ShardedCollection("s", 16, shards=2)
         sharded.upsert(points_of(vecs))
-        sharded.build_hnsw(parallel=1)
+        sharded.build_hnsw()
         graphs = [
             shard._hnsw for shard in sharded.shard_collections  # noqa: SLF001
         ]
-        sharded.build_hnsw(parallel=2)  # no-op: everything is built
+        sharded.build_hnsw()  # no-op: everything is built
         assert [
             shard._hnsw for shard in sharded.shard_collections  # noqa: SLF001
         ] == graphs
@@ -220,12 +223,13 @@ class TestShardedBuild:
 
     def test_empty_collection_build_is_noop(self):
         sharded = ShardedCollection("s", 16, shards=2)
-        sharded.build_hnsw(parallel=2)
+        sharded.build_hnsw()
         assert sharded.hnsw_is_built  # vacuously: no non-empty shards
         sharded.close()
 
 
 class TestEagerPrepare:
+    @pytest.mark.usefixtures("walk_graphs")
     def test_prepare_builds_graphs_eagerly(self):
         from repro.eval.corpus import build_corpus
 
@@ -236,6 +240,7 @@ class TestEagerPrepare:
         assert collection.hnsw_is_built
         corpus.prepared.client.close()
 
+    @pytest.mark.usefixtures("walk_graphs")
     def test_prepare_lazy_opt_out(self):
         from repro.eval.corpus import build_corpus
 
@@ -247,3 +252,110 @@ class TestEagerPrepare:
         )
         assert not collection.hnsw_is_built
         corpus.prepared.client.close()
+
+    def test_eager_prepare_below_threshold_persists_no_graph(self, tmp_path):
+        from repro.eval.corpus import build_corpus
+
+        corpus = build_corpus("SB", seed=21, count=60, shards=2)
+        collection = corpus.prepared.client.get_collection(
+            corpus.prepared.collection_name
+        )
+        assert all(
+            shard.hnsw_index is None for shard in collection.shard_collections
+        )
+        save_collection(collection, tmp_path / "snap")
+        assert inspect_snapshot(tmp_path / "snap")["graphs_persisted"] is False
+        corpus.prepared.client.close()
+
+
+def _backend(kind: str, quantize: str | None):
+    if kind == "sharded":
+        return ShardedCollection("t", 16, shards=3, quantize=quantize)
+    return Collection("t", 16, quantize=quantize)
+
+
+def _shards(collection) -> list[Collection]:
+    if isinstance(collection, ShardedCollection):
+        return list(collection.shard_collections)
+    return [collection]
+
+
+class TestGraphOnlyAboveThreshold:
+    @pytest.mark.parametrize("kind", ["single", "sharded"])
+    @pytest.mark.parametrize("quantize", [None, "sq8"])
+    def test_below_threshold_search_is_the_exact_scan(self, kind, quantize):
+        vecs = unit_vectors(300, 16, seed=31)
+        queries = unit_vectors(5, 16, seed=32)
+        collection = _backend(kind, quantize)
+        collection.upsert(points_of(vecs))
+        for params in ({}, {"ef": 8}, {"rescore_factor": 1.0}):
+            approx = collection.search_batch(queries, 10, **params)
+            exact = collection.search_batch(queries, 10, exact=True)
+            assert [[(h.id, h.score) for h in row] for row in approx] == [
+                [(h.id, h.score) for h in row] for row in exact
+            ]
+        assert collection.search(queries[0], 10) == collection.search(
+            queries[0], 10, exact=True
+        )
+        assert all(shard.hnsw_index is None for shard in _shards(collection))
+        collection.close()
+
+    def test_upsert_past_lowered_threshold_builds_on_next_search(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 100)
+        vecs = unit_vectors(150, 16, seed=33)
+        collection = Collection("c", 16)
+        collection.upsert(points_of(vecs[:100]))
+        collection.search(vecs[0], 5)
+        assert collection.hnsw_index is None  # 100 rows: scanned
+        collection.upsert(points_of(vecs)[100:])
+        assert collection.hnsw_index is None  # upserts link nothing
+        assert collection.needs_graph()
+        assert collection.search(vecs[120], 1)[0].id == "p120"
+        assert collection.hnsw_is_built  # the search walked a new graph
+        collection.upsert([PointStruct(id="late", vector=vecs[7])])
+        assert collection.hnsw_is_built  # from now on upserts link
+
+    def test_filter_matches_decide_scan_or_walk(self, monkeypatch):
+        from repro.vectordb.filters import FieldMatch
+
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 100)
+        vecs = unit_vectors(200, 16, seed=34)
+        collection = Collection("c", 16)
+        collection.upsert(
+            points_of(vecs[:150], {"tag": "few"})
+            + [
+                PointStruct(id=f"q{i}", vector=vecs[i], payload={"tag": "x"})
+                for i in range(150, 200)
+            ]
+        )
+        selective = FieldMatch("tag", "x")  # 50 matches: a scan
+        collection.search(vecs[160], 5, flt=selective)
+        assert collection.hnsw_index is None
+        collection.search(vecs[10], 5, flt=FieldMatch("tag", "few"))
+        assert collection.hnsw_is_built  # 150 matches: a predicate walk
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_persisted_graph_below_threshold_is_not_attached(
+        self, tmp_path, shards
+    ):
+        vecs = unit_vectors(200, 16, seed=35)
+        original = (
+            ShardedCollection("s", 16, shards=shards) if shards > 1
+            else Collection("s", 16)
+        )
+        original.upsert(points_of(vecs))
+        original.build_hnsw()  # as a snapshot saved before the rule did
+        save_collection(original, tmp_path / "snap")
+        original.close()
+        assert inspect_snapshot(tmp_path / "snap")["graphs_persisted"]
+        loaded = load_collection(tmp_path / "snap")
+        assert all(shard.hnsw_index is None for shard in _shards(loaded))
+        loaded.upsert(
+            PointStruct(id=f"n{i}", vector=vector)
+            for i, vector in enumerate(unit_vectors(20, 16, seed=36))
+        )
+        assert all(shard.hnsw_index is None for shard in _shards(loaded))
+        assert loaded.search(vecs[3], 1)[0].id == "p3"
+        loaded.close()

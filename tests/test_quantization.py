@@ -254,10 +254,12 @@ class TestKernelAgreement:
 @pytest.mark.parametrize("metric", [Metric.COSINE, Metric.EUCLIDEAN])
 class TestExactRescoreEquivalence:
     def test_full_factor_bit_identical_across_lifecycle(
-        self, kind, metric, tmp_path
+        self, kind, metric, tmp_path, monkeypatch
     ):
         """sq8 + population-covering rescore == float32 exact, through
         upsert → save → load(mmap) → WAL replay."""
+        # Keep the sq8 path: below the threshold a search scans float32.
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
         vecs = _vectors()
         queries = vecs[:10]
         collection = _make(kind, metric)
@@ -307,10 +309,14 @@ class TestExactRescoreEquivalence:
         assert_equivalent(recovered, N + 30)
         recovered.close()
 
-    def test_default_factor_scores_are_true_float32(self, kind, metric):
+    def test_default_factor_scores_are_true_float32(
+        self, kind, metric, monkeypatch
+    ):
         """Whatever candidates the quantized traversal picks, returned
         scores must be exact float32 similarities — rescoring is never
         skipped at the default ``rescore_factor``."""
+        # Keep the sq8 walk: below the threshold a search scans float32.
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
         vecs = _vectors(seed=23)
         collection = _make(kind, metric)
         collection.upsert(_points(vecs))
@@ -380,7 +386,9 @@ class TestSchemaV4:
         assert loaded.quantize is None
         loaded.close()
 
-    def test_migrate_adds_tier_to_v3_snapshot(self, tmp_path):
+    def test_migrate_adds_tier_to_v3_snapshot(self, tmp_path, monkeypatch):
+        # Keep the sq8 path: below the threshold a search scans float32.
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
         plain = Collection("plain", DIM)
         vecs = _vectors(n=100)
         plain.upsert(_points(vecs))
@@ -406,7 +414,9 @@ class TestSchemaV4:
         assert got == want
         loaded.close()
 
-    def test_wal_only_rows_requantized_on_reload(self, tmp_path):
+    def test_wal_only_rows_requantized_on_reload(self, tmp_path, monkeypatch):
+        # Keep the sq8 path: below the threshold a search scans float32.
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
         snap, vecs = _quantized_snapshot(tmp_path)
         served = load_collection(snap, wal="always")
         served.upsert(_points(_vectors(n=20, seed=41), prefix="w"))
@@ -424,19 +434,22 @@ class TestQuantizedTierCorruption:
     """Damaged v4 code files degrade to float32 — never wrong results."""
 
     def _assert_degraded_but_correct(self, snap, vecs, mmap=False):
-        with pytest.warns(RuntimeWarning, match="unusable quantized tier"):
-            loaded = load_collection(snap, mmap=mmap)
-        assert loaded.quantize is None
-        assert loaded.sq8_store is None
-        with pytest.warns(RuntimeWarning, match="unusable quantized tier"):
-            pristine = load_collection(snap, hnsw=None)  # f32 ground truth
-        want = _hits(pristine.search_batch(vecs[:6], K, exact=True))
-        assert _hits(loaded.search_batch(vecs[:6], K, exact=True)) == want
-        # Approximate searches still work off the float32 graph, and a
-        # rescore_factor on a degraded collection is simply ignored.
-        assert len(loaded.search(vecs[0], K, rescore_factor=4.0)) == K
-        pristine.close()
-        loaded.close()
+        with pytest.MonkeyPatch.context() as patch:
+            # Keep the graph walk: below the threshold a search scans.
+            patch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
+            with pytest.warns(RuntimeWarning, match="unusable quantized tier"):
+                loaded = load_collection(snap, mmap=mmap)
+            assert loaded.quantize is None
+            assert loaded.sq8_store is None
+            with pytest.warns(RuntimeWarning, match="unusable quantized tier"):
+                pristine = load_collection(snap, hnsw=None)  # f32 truth
+            want = _hits(pristine.search_batch(vecs[:6], K, exact=True))
+            assert _hits(loaded.search_batch(vecs[:6], K, exact=True)) == want
+            # Approximate searches still work off the float32 graph, and a
+            # rescore_factor on a degraded collection is simply ignored.
+            assert len(loaded.search(vecs[0], K, rescore_factor=4.0)) == K
+            pristine.close()
+            loaded.close()
 
     def test_truncated_codes_degrade(self, tmp_path):
         snap, vecs = _quantized_snapshot(tmp_path)
@@ -473,7 +486,11 @@ class TestQuantizedTierCorruption:
         )
         self._assert_degraded_but_correct(snap, vecs)
 
-    def test_one_sharded_corrupt_shard_degrades_alone(self, tmp_path):
+    def test_one_sharded_corrupt_shard_degrades_alone(
+        self, tmp_path, monkeypatch
+    ):
+        # Keep the sq8 path: below the threshold a search scans float32.
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
         snap, vecs = _quantized_snapshot(tmp_path, kind="sharded")
         victim = snap / "shard-01" / "codes.npy"
         victim.write_bytes(victim.read_bytes()[:40])

@@ -362,11 +362,13 @@ class TestClientReshard:
                 f"poi-{i}" for i in range(50)
             ]
 
-    def test_reshard_preserves_built_graphs(self):
+    def test_reshard_preserves_built_graphs(self, monkeypatch):
+        # Keep the graph paths: below the threshold a reshard builds none.
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
         with VectorDBClient() as client:
             collection = client.create_collection("live", dim=16, shards=2)
             collection.upsert(make_points(80, 16, seed=8))
-            collection.build_hnsw(parallel=1)
+            collection.build_hnsw()
             new = client.reshard_collection("live", 3)
             assert new.hnsw_is_built
 

@@ -33,7 +33,7 @@ from repro.core.variants import semask
 from repro.serving.batcher import SearchCoalescer
 from repro.serving.http import ServingContext, ServingServer
 from repro.vectordb.client import VectorDBClient
-from repro.vectordb.collection import PointStruct, SearchParams
+from repro.vectordb.collection import Collection, PointStruct, SearchParams
 from repro.vectordb.deadline import Deadline
 from repro.vectordb.filters import FieldMatch
 from repro.vectordb.hnsw import HNSWIndex
@@ -244,6 +244,8 @@ class TestSearchEndpoint:
             assert status == expected
 
     def test_ef_reaches_the_hnsw_kernel(self, server, monkeypatch):
+        # Keep the graph walk: below the threshold a search scans.
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
         seen = []
         real = HNSWIndex.search_batch
 

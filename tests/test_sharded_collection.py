@@ -147,11 +147,13 @@ class TestSearchEquivalence:
 
 
 class TestHnswPath:
-    def test_unfiltered_approximate_recall_floor(self):
+    def test_unfiltered_approximate_recall_floor(self, monkeypatch):
         """Sharded HNSW recall@10 stays high — every shard's graph is
         searched, but each graph is still approximate, so this pins an
         absolute floor rather than an ordering against one global graph
         (which does not hold in general)."""
+        # Keep the graph walk: below the threshold a search scans.
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
         dim, k = 16, 10
         plain, sharded = build_pair(5, dim, 4, n=400)
         queries = unit_vectors(20, dim, 55)
@@ -577,6 +579,9 @@ class TestSearchRacingUpsert:
     ):
         if path == "filtered-graph":
             monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 8)
+        elif path == "graph":
+            # Keep the graph walk: below the threshold a search scans.
+            monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
         graph_add = HNSWIndex.add
 
         def slow_add(index, vector):

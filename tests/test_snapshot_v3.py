@@ -141,7 +141,10 @@ class TestCompatibilityMatrix:
         assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("shards", [1, 4])
-    def test_v3_round_trip_attaches_graphs(self, tmp_path, shards):
+    def test_v3_round_trip_attaches_graphs(self, tmp_path, shards, monkeypatch):
+        # Keep the graph paths: below the threshold a load attaches no
+        # graph and a search scans.
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
         original, vecs = _build(shards=shards)
         snap = tmp_path / "snap"
         save_collection(original, snap)
@@ -164,9 +167,14 @@ class TestCompatibilityMatrix:
         original.close()
 
     @pytest.mark.parametrize("shards", [1, 4])
-    def test_schema_3_loads_identically_to_its_v4_twin(self, tmp_path, shards):
+    def test_schema_3_loads_identically_to_its_v4_twin(
+        self, tmp_path, shards, monkeypatch
+    ):
         """No writer emits ``"schema": 3`` any more, but it is the same
         layout minus the optional sq8 files and must keep loading."""
+        # Keep the graph paths: below the threshold a load attaches no
+        # graph and a search scans.
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
         original, vecs = _build(shards=shards)
         snap = tmp_path / "snap"
         save_collection(original, snap)
@@ -197,6 +205,12 @@ class TestCompatibilityMatrix:
 
 
 class TestGraphCorruptionFallback:
+    @pytest.fixture(autouse=True)
+    def _walk_graphs(self, monkeypatch):
+        # Keep the graph paths: below the threshold a load never reads
+        # graph.npz, so there would be no damage to degrade from.
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
+
     def test_truncated_graph_degrades_to_rebuild(self, tmp_path):
         original, vecs = _build()
         snap = tmp_path / "snap"
@@ -479,7 +493,10 @@ class TestAtomicSave:
 
 
 class TestClientPlumbing:
-    def test_client_save_load_round_trip(self, tmp_path):
+    def test_client_save_load_round_trip(self, tmp_path, monkeypatch):
+        # Keep the graph paths: below the threshold a load attaches no
+        # graph and a search scans.
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
         with VectorDBClient() as client:
             collection = client.create_collection("snap", dim=DIM, shards=2)
             collection.upsert(_points(_vectors(120)))
@@ -508,8 +525,11 @@ class TestClientPlumbing:
 
 
 class TestCli:
-    def test_snapshot_inspect_and_migrate(self, tmp_path, capsys):
+    def test_snapshot_inspect_and_migrate(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
+
+        # Keep the graph paths: below the threshold migrate builds no graph.
+        monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
 
         original, _ = _build(shards=2)
         snap = tmp_path / "snap"

@@ -95,6 +95,8 @@ class TestCollection:
         assert hits == []
 
     def test_search_approximate_matches_exact_small(self, collection):
+        # Keep the graph walk: below the threshold a search scans.
+        collection.BRUTE_FORCE_THRESHOLD = 0
         exact = collection.search(unit(1, 1), k=3, exact=True)
         approx = collection.search(unit(1, 1), k=3)
         assert [h.id for h in approx] == [h.id for h in exact]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,93 @@ class TestSearch:
                 index.add(v)
             results.append(index.search(q, 5, ef=40))
         assert results[0] == results[1]
+
+
+def _add_on_another_thread(index: HNSWIndex, vectors) -> None:
+    """Run ``index.add`` for each vector to completion on a second thread,
+    while the calling thread is paused mid-walk: a deterministic race."""
+    thread = threading.Thread(
+        target=lambda: [index.add(vector) for vector in vectors]
+    )
+    thread.start()
+    thread.join(timeout=30.0)
+    assert not thread.is_alive()
+
+
+class _AddsBetweenRowAndLength(HNSWIndex):
+    """Runs ``race`` once on the ``reader`` thread, between its load of
+    ``_adj0`` and its load of ``_adj0_len``: the walk holds the old
+    adjacency matrix and reads the length a racing add() wrote."""
+
+    state: dict = {}
+
+    def __getattribute__(self, name):
+        state = _AddsBetweenRowAndLength.state
+        if threading.get_ident() == state.get("reader"):
+            if name == "_adj0_len" and state.pop("armed", False):
+                race = state.pop("race")
+                race()
+            elif name == "_adj0" and "race" in state:
+                state["armed"] = True
+            else:
+                state.pop("armed", None)
+        return object.__getattribute__(self, name)
+
+
+class TestReadRacingAdd:
+    """A walk captures the node count once and visits nothing past it,
+    whatever a racing add() links or grows meanwhile."""
+
+    def test_walk_straddling_a_grow_stays_inside_its_count(self, monkeypatch):
+        # The reader's stamp array is sized when its walk starts; a
+        # racing add() that grows the index links nodes past it.
+        vecs = unit_vectors(4, 8, seed=41)
+        index = HNSWIndex(8, m=4, ef_construction=8, initial_capacity=4)
+        for vector in vecs:
+            index.add(vector)
+        top = max(index.level_of(node) for node in range(4))
+        reader = threading.get_ident()
+        walks = []
+        real = HNSWIndex._take_visit_stamp
+
+        def take(self, *args):
+            taken = real(self, *args)
+            if threading.get_ident() == reader:
+                walks.append(taken)
+                if len(walks) == top + 1:  # the layer-0 walk
+                    _add_on_another_thread(index, [vecs[0]] * 40)
+            return taken
+
+        monkeypatch.setattr(HNSWIndex, "_take_visit_stamp", take)
+        hits = index.search(vecs[0], 10)
+        assert len(index) == 44
+        assert hits[0] == (0, pytest.approx(1.0))
+        assert sorted(node for node, _ in hits) == [0, 1, 2, 3]
+
+    def test_old_row_read_with_grown_length_is_not_a_hit(self):
+        # Node 0 links to 1, node 1 to 0 and 2. A racing add() grows the
+        # index (its adopted matrix is read-only) and links a copy of
+        # node 0 into node 0's row, between the walk's read of the old
+        # row and of the new length: the slice ends in -1 padding, and
+        # node -1 (the grown matrix's zero last row) outscores node 1.
+        vectors = np.array([[1, 0], [-0.6, 0.8], [-1, 0]], dtype=np.float32)
+        arrays = {
+            "header": np.array([1, 3, 2, 4, 8, 0, 0], dtype=np.int64),
+            "levels": np.zeros(3, dtype=np.int32),
+            "counts": np.array([1, 2, 1], dtype=np.int32),
+            "neighbors": np.array([1, 0, 2, 1], dtype=np.int32),
+        }
+        index = _AddsBetweenRowAndLength.from_arrays(vectors, arrays)
+        _AddsBetweenRowAndLength.state = {
+            "reader": threading.get_ident(),
+            "race": lambda: _add_on_another_thread(index, [vectors[0]]),
+        }
+        try:
+            hits = index.search(vectors[0], 2, ef=2)
+        finally:
+            _AddsBetweenRowAndLength.state = {}
+        assert len(index) == 4  # the race ran
+        assert [node for node, _ in hits] == [0, 1]
 
 
 class TestFlatIndex:
