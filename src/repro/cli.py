@@ -154,8 +154,8 @@ def cmd_reshard(args: argparse.Namespace) -> int:
     """``reshard``: rewrite a saved snapshot for a new shard count.
 
     Re-routes every point, logged WAL tail included, without
-    re-embedding anything; scroll order, counts, payload indexes, the
-    HNSW config and the sq8 tier are preserved (see ``reshard_snapshot``).
+    re-embedding anything; scroll order, counts, payload indexes and the
+    HNSW config are preserved (see ``reshard_snapshot``).
     """
     from repro.vectordb.persistence import inspect_snapshot, reshard_snapshot
 
@@ -197,9 +197,9 @@ def cmd_snapshot_migrate(args: argparse.Namespace) -> int:
     """``snapshot migrate``: rewrite a snapshot as schema v4.
 
     Persists the HNSW graphs a snapshot is missing (built now unless
-    ``--no-graphs``) so the next load skips reconstruction entirely, and
-    optionally adds the sq8 tier. The rewrite is atomic — an interrupted
-    migration leaves the original snapshot intact.
+    ``--no-graphs``) so the next load skips reconstruction entirely. The
+    rewrite is atomic — an interrupted migration leaves the original
+    snapshot intact.
     """
     from repro.vectordb.persistence import inspect_snapshot, migrate_snapshot
 
@@ -207,15 +207,13 @@ def cmd_snapshot_migrate(args: argparse.Namespace) -> int:
         args.snapshot,
         out_dir=args.out or None,
         build_graphs=not args.no_graphs,
-        quantize=args.quantize or None,
     )
     info = inspect_snapshot(written)
     shards = info["shards"] or 1
     print(
         f"migrated {args.snapshot} -> {written}: schema {info['schema']}, "
         f"{info['count']} points across {shards} shard(s), "
-        f"graphs {'persisted' if info['graphs_persisted'] else 'omitted'}, "
-        f"quantize {info.get('quantize') or 'off'}"
+        f"graphs {'persisted' if info['graphs_persisted'] else 'omitted'}"
     )
     return 0
 
@@ -269,19 +267,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         wal=args.wal or None,
     )
     collection = prepared.client.get_collection(prepared.collection_name)
-    if args.quantize:
-        # Attach an int8 tier to whatever was loaded/built; codes are
-        # fitted lazily on the first quantized search, and a snapshot
-        # that already carries a tier is left as-is.
-        from repro.vectordb.quantization import SQ8Store
-
-        for shard in getattr(
-            collection, "shard_collections", (collection,)
-        ):
-            if shard.quantize is None:
-                shard.attach_sq8(SQ8Store(shard.dim))
-        print(f"quantized tier: {collection.quantize} "
-              "(int8 codes, exact float32 rescoring)")
     if args.wal:
         stats = collection.wal_stats()
         depth = stats["records"] if stats else 0
@@ -471,17 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_snapshot_inspect)
     sp = snap_sub.add_parser(
         "migrate",
-        help="rewrite a snapshot as schema v4 (persist graphs, add sq8)",
+        help="rewrite a snapshot as schema v4 (persist graphs)",
     )
     sp.add_argument("snapshot", help="snapshot directory (save_collection)")
     sp.add_argument("--out", default="",
                     help="output directory (default: rewrite in place)")
     sp.add_argument("--no-graphs", action="store_true",
                     help="do not build/persist HNSW graphs during migration")
-    sp.add_argument("--quantize", choices=["sq8"], default="",
-                    help="add an int8 scalar-quantized storage tier "
-                         "(codes.npy + codebook.npz) to the rewritten "
-                         "snapshot")
     sp.set_defaults(func=cmd_snapshot_migrate)
 
     p = sub.add_parser("serve", help="run the concurrent HTTP query server")
@@ -498,10 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-mmap", action="store_true",
                    help="load snapshot vectors into RAM instead of "
                         "memory-mapping them")
-    p.add_argument("--quantize", choices=["sq8"], default="",
-                   help="serve approximate searches from an int8 "
-                        "scalar-quantized tier with exact float32 "
-                        "rescoring (clients tune via rescore_factor)")
     p.add_argument("--wal", choices=["always", "batch", "off"], default="",
                    help="durable writes: log accepted writes to a "
                         "per-shard write-ahead log beside the snapshot "

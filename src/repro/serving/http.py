@@ -808,10 +808,6 @@ class _Handler(_JsonHandler):
             flt=filter_from_json(body.get("filter")),
             exact=bool(body.get("exact", False)),
             ef=int(body["ef"]) if body.get("ef") is not None else None,
-            rescore_factor=(
-                float(body["rescore_factor"])
-                if body.get("rescore_factor") is not None else None
-            ),
         )
         hits = self.context.search(
             str(body["collection"]),

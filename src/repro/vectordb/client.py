@@ -58,21 +58,16 @@ class VectorDBClient:
         hnsw: HnswConfig | None = None,
         exist_ok: bool = False,
         shards: int = 1,
-        quantize: str | None = None,
     ) -> AnyCollection:
         """Create a collection; ``exist_ok`` returns the existing one.
 
         ``shards > 1`` builds a hash-partitioned
         :class:`~repro.vectordb.sharded.ShardedCollection`; both backends
         expose the same surface, so callers need not care which they got.
-        ``quantize="sq8"`` adds an int8 scalar-quantized storage tier
-        (see :mod:`repro.vectordb.quantization`): graph traversal scores
-        against uint8 codes and the final top-k is rescored exactly
-        against float32. With ``exist_ok``, the existing collection must
-        match the requested dim, metric, shard count, and quantize kind —
-        silently returning a differently-configured backend would surface
-        as wrong scores or far-away dimension errors instead of failing
-        here.
+        With ``exist_ok``, the existing collection must match the
+        requested dim, metric and shard count — silently returning a
+        differently-configured backend would surface as wrong scores or
+        far-away dimension errors instead of failing here.
         """
         if shards <= 0:
             raise CollectionError(
@@ -82,13 +77,12 @@ class VectorDBClient:
         if existing is not None:
             if exist_ok:
                 have = (existing.dim, existing.metric,
-                        getattr(existing, "n_shards", 1),
-                        existing.quantize)
-                want = (dim, metric, shards, quantize)
+                        getattr(existing, "n_shards", 1))
+                want = (dim, metric, shards)
                 if have != want:
                     raise CollectionError(
                         f"collection {name!r} exists with "
-                        f"(dim, metric, shards, quantize)={have}, "
+                        f"(dim, metric, shards)={have}, "
                         f"requested {want}"
                     )
                 return existing
@@ -96,12 +90,9 @@ class VectorDBClient:
         if shards > 1:
             collection: AnyCollection = ShardedCollection(
                 name, dim, metric=metric, hnsw=hnsw, shards=shards,
-                quantize=quantize,
             )
         else:
-            collection = Collection(
-                name, dim, metric=metric, hnsw=hnsw, quantize=quantize
-            )
+            collection = Collection(name, dim, metric=metric, hnsw=hnsw)
         self._collections[name] = collection
         return collection
 
@@ -140,8 +131,7 @@ class VectorDBClient:
         The in-memory counterpart of
         :func:`repro.vectordb.persistence.reshard_snapshot`, through the
         same :func:`~repro.vectordb.sharded.reroute`: global insertion
-        order, payloads, payload indexes, the quantized-tier setting, and
-        the HNSW config carry over,
+        order, payloads, payload indexes and the HNSW config carry over,
         and the old backend is closed and replaced under the same name.
         ``new_shards=1`` produces a plain (unsharded) collection. If the
         old backend had its HNSW graphs built, the new one builds the
@@ -156,12 +146,11 @@ class VectorDBClient:
         if new_shards > 1:
             new: AnyCollection = ShardedCollection(
                 name, old.dim, metric=old.metric, hnsw=old.hnsw_config,
-                shards=new_shards, quantize=old.quantize,
+                shards=new_shards,
             )
         else:
             new = Collection(
                 name, old.dim, metric=old.metric, hnsw=old.hnsw_config,
-                quantize=old.quantize,
             )
         reroute(old, new)
         was_built = old.hnsw_is_built and len(old) > 0
@@ -175,10 +164,9 @@ class VectorDBClient:
         """Snapshot the named collection to ``directory`` (atomic).
 
         Writes snapshot schema v4: vectors as a raw float32 matrix (so a
-        later :meth:`load` can memory-map it), any fully built HNSW
-        graphs alongside, and — for quantized collections — the uint8
-        code matrix plus its codebook, making the next cold start
-        O(metadata) instead of O(graph rebuild + re-quantization). See
+        later :meth:`load` can memory-map it) and any fully built HNSW
+        graphs alongside, making the next cold start O(metadata)
+        instead of O(graph rebuild). See
         :func:`repro.vectordb.persistence.save_collection`.
         """
         from repro.vectordb.persistence import save_collection
@@ -233,7 +221,6 @@ class VectorDBClient:
             "dim": collection.dim,
             "metric": collection.metric.value,
             "shards": getattr(collection, "n_shards", 1),
-            "quantize": collection.quantize,
             "hnsw_built": collection.hnsw_is_built,
             "indexed_payload_fields": sorted(
                 collection.indexed_payload_fields

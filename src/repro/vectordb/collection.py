@@ -4,10 +4,10 @@ Mirrors the Qdrant surface the SemaSK pipeline uses: upsert points with
 payloads, then run (optionally filtered) kNN searches. One rule picks
 the path, with or without a filter: count the rows in play (the filter's
 matches, or every point). At most ``BRUTE_FORCE_THRESHOLD`` of them are
-scanned exactly — a float32 scan, on the sq8 tier too; more walk the
-HNSW graph (with a predicate when filtered, over the codes when
-quantized). Qdrant draws the same line: a segment under its indexing
-threshold has no HNSW index and is searched by a plain scan.
+scanned exactly — a float32 scan; more walk the HNSW graph (with a
+predicate when filtered). Qdrant draws the same line: a segment under
+its indexing threshold has no HNSW index and is searched by a plain
+scan.
 
 One read path: :meth:`Collection.search_batch` answers many queries against
 one filter in a single call — the filter's candidate set is computed once
@@ -53,9 +53,8 @@ half-applied lies at or past ``n``, where no path looks.
 
 from __future__ import annotations
 
-import math
 import threading
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -72,14 +71,6 @@ from repro.vectordb.filters import Filter, GeoBoundingBoxFilter
 from repro.vectordb.flat import FlatIndex
 from repro.vectordb.hnsw import HNSWIndex
 from repro.vectordb.payload_index import PayloadIndexRegistry, bbox_mask
-from repro.vectordb.quantization import SQ8Store, validate_quantize
-
-#: Default top-``rescore_factor·k`` candidate multiplier for quantized
-#: searches: the HNSW beam runs in code space, then the best ``4·k``
-#: candidates are rescored exactly against the float32 matrix. 4× is
-#: the conventional sweet spot (Qdrant's default oversampling range);
-#: the recall floor at this default is pinned by bench_quantization.
-DEFAULT_RESCORE_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -126,11 +117,6 @@ class SearchParams:
     * ``exact`` — force brute-force scoring (how recall is measured).
     * ``ef`` — HNSW beam width (default ``HnswConfig.ef_search``); only
       a search above the threshold walks a beam.
-    * ``rescore_factor`` — ``quantize="sq8"`` collections above the
-      threshold traverse uint8 codes and rescore the top
-      ``rescore_factor·k`` against float32 (default
-      ``DEFAULT_RESCORE_FACTOR``); ignored otherwise, since a scan
-      below the threshold is float32 already.
 
     Out-of-range fields raise ``ValueError`` here and nowhere else.
     Equal params on one collection may share a batched call, so the
@@ -143,17 +129,12 @@ class SearchParams:
     flt: Filter | None = None
     exact: bool = False
     ef: int | None = None
-    rescore_factor: float | None = None
 
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ValueError(f"k must be non-negative, got {self.k}")
         if self.ef is not None and self.ef < 1:
             raise ValueError(f"ef must be >= 1, got {self.ef}")
-        if self.rescore_factor is not None and not self.rescore_factor >= 1.0:
-            raise ValueError(
-                f"rescore_factor must be >= 1.0, got {self.rescore_factor}"
-            )
 
     @classmethod
     def of(cls, k: int | SearchParams, knobs: dict[str, Any]) -> SearchParams:
@@ -199,13 +180,6 @@ class SnapshotView:
     graph_arrays: dict[str, np.ndarray] | None
     wal: "WriteAheadLog | None"
     wal_offset: int | None
-    #: ``quantize`` kind plus the sq8 tier's arrays (codes zero-copy,
-    #: codebook small) — None for unquantized collections. Captured
-    #: under the same lock as ``vectors`` so codes always cover exactly
-    #: the first ``len(ids)`` rows.
-    quantize: str | None = None
-    codes: np.ndarray | None = None
-    codebook: dict[str, np.ndarray] | None = None
 
 
 class Collection:
@@ -221,7 +195,6 @@ class Collection:
         dim: int,
         metric: Metric = Metric.COSINE,
         hnsw: HnswConfig | None = None,
-        quantize: str | None = None,
     ) -> None:
         if not name:
             raise CollectionError("collection name must be non-empty")
@@ -236,20 +209,6 @@ class Collection:
         self._payload_indexes = PayloadIndexRegistry()
         self._wal: "WriteAheadLog | None" = None
         self._write_lock = threading.RLock()
-        self._quantize = validate_quantize(quantize)
-        self._sq8: SQ8Store | None = (
-            SQ8Store(dim) if self._quantize else None
-        )
-
-    @property
-    def quantize(self) -> str | None:
-        """The active quantized-tier kind (``"sq8"``) or ``None``."""
-        return self._quantize
-
-    @property
-    def sq8_store(self) -> SQ8Store | None:
-        """The quantized tier (``None`` when ``quantize`` is off)."""
-        return self._sq8
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -416,11 +375,6 @@ class Collection:
                 # also survive a crash.
                 if self._wal is not None and accepted:
                     self._wal.append_points(accepted)
-            if self._sq8 is not None and inserted:
-                # Quantize the appended rows eagerly (WAL replay lands
-                # here too); searches also sync lazily, so a batch that
-                # raised mid-way just leaves the tier to catch up then.
-                self._sq8.sync(self._flat.matrix())
             return inserted
 
     def create_payload_index(self, field: str) -> None:
@@ -610,86 +564,6 @@ class Collection:
                 )
             self._hnsw = index
 
-    def attach_sq8(self, store: SQ8Store) -> None:
-        """Install an externally built quantized tier (snapshot loads).
-
-        Turns the collection quantized even when it was constructed
-        without ``quantize=`` — the load path builds the collection
-        first and attaches the persisted tier only after the codes
-        survive validation, degrading to plain float32 on any defect.
-        The store may trail the collection (rows appended by WAL replay
-        are re-quantized on the next sync); it must not be *ahead* of
-        it, and its dimensionality must match.
-        """
-        with self._write_lock:
-            if store.dim != self.dim:
-                raise CollectionError(
-                    f"attached sq8 tier dim {store.dim} != collection dim "
-                    f"{self.dim}"
-                )
-            if store.count > len(self._ids):
-                raise CollectionError(
-                    f"attached sq8 tier has {store.count} rows, collection "
-                    f"has only {len(self._ids)} points"
-                )
-            self._quantize = "sq8"
-            self._sq8 = store
-
-    def _ensure_sq8(self) -> SQ8Store:
-        """The quantized tier, synced to cover every inserted row."""
-        store = self._sq8
-        if store is None:  # pragma: no cover - guarded by callers
-            raise CollectionError(
-                f"collection {self.name!r} has no quantized tier"
-            )
-        if store.count < len(self._ids):
-            # sync() re-checks under its own lock; rows [0, n) of the
-            # matrix are immutable, so racing an upsert is safe.
-            store.sync(self._flat.matrix())
-        return store
-
-    def _sq8_graph_search(
-        self,
-        query: np.ndarray,
-        params: SearchParams,
-        matching: np.ndarray | None = None,
-        predicate: Callable[[int], bool] | None = None,
-    ) -> list[tuple[int, float]]:
-        """Quantized traversal + exact rescore (the sq8 read path).
-
-        The HNSW beam runs over the uint8 codes in a rewritten score
-        space (see :meth:`SQ8Store.traversal_query`), collecting the
-        top-``max(k, ceil(rescore_factor·k))`` candidates; those are
-        then scored *exactly* against the float32 matrix, so returned
-        scores are always true float32 similarities. When the candidate
-        budget covers the whole (matching) population, traversal is
-        skipped and the search degenerates to the exact float32 scan —
-        which is what makes ``rescore_factor=len(collection)``
-        bit-identical to ``exact=True`` by construction.
-        """
-        k = params.k
-        factor = params.rescore_factor or DEFAULT_RESCORE_FACTOR
-        m_cand = max(k, int(math.ceil(factor * k)))
-        population = (
-            int(matching.size) if matching is not None else len(self._ids)
-        )
-        if m_cand >= population:
-            return self._flat.search(query, k, subset=matching)
-        store = self._ensure_sq8()
-        graph = self.build_hnsw()
-        matrix_like, w = store.traversal_query(query, self._metric)
-        view = graph.traversal_view(matrix_like)
-        found = view.search(
-            w, m_cand, ef=params.ef or self._hnsw_config.ef_search,
-            predicate=predicate,
-        )
-        if not found:
-            return []
-        nodes = np.fromiter(
-            (node for node, _ in found), dtype=np.int64, count=len(found)
-        )
-        return self._flat.search(query, k, subset=nodes)
-
     def _score(
         self,
         queries: np.ndarray,
@@ -714,11 +588,6 @@ class Collection:
                 # ran lies past the mask: it does not match
                 return node < mask.size and mask[node]
 
-        if self._sq8 is not None:
-            return [
-                self._sq8_graph_search(query, params, matching, passes)
-                for query in queries
-            ]
         return self.build_hnsw().search_batch(
             queries, params.k, ef=params.ef or self._hnsw_config.ef_search,
             predicate=passes,
@@ -841,15 +710,6 @@ class Collection:
                 if self.hnsw_is_built and n
                 else None
             )
-            codes = codebook = None
-            if self._sq8 is not None and n:
-                self._sq8.sync(self._flat.matrix())
-                arrays = self._sq8.as_arrays()
-                if arrays is not None:
-                    codes = arrays["codes"]
-                    codebook = {
-                        "mins": arrays["mins"], "steps": arrays["steps"],
-                    }
             return SnapshotView(
                 name=self.name,
                 dim=self.dim,
@@ -862,9 +722,6 @@ class Collection:
                 graph_arrays=graph_arrays,
                 wal=self._wal,
                 wal_offset=self._wal.offset if self._wal is not None else None,
-                quantize=self._quantize,
-                codes=codes,
-                codebook=codebook,
             )
 
     @classmethod
@@ -878,7 +735,6 @@ class Collection:
         metric: Metric = Metric.COSINE,
         hnsw: HnswConfig | None = None,
         dim: int | None = None,
-        quantize: str | None = None,
     ) -> "Collection":
         """Restore a collection *around* ``vectors`` without copying them.
 
@@ -902,8 +758,7 @@ class Collection:
             raise CollectionError(
                 f"matrix dim {vectors.shape[1]} != declared dim {dim}"
             )
-        collection = cls(name, dim, metric=metric, hnsw=hnsw,
-                         quantize=quantize)
+        collection = cls(name, dim, metric=metric, hnsw=hnsw)
         if vectors.shape[0]:
             collection._flat = FlatIndex.from_matrix(vectors, metric=metric)
         collection._ids = list(ids)

@@ -220,8 +220,7 @@ class HNSWIndex:
                 # A copy, not a view: a racing add() rewrites adjacency
                 # rows in place, and ids read after the scoring would no
                 # longer be the ids that were scored. Once a node has
-                # been added (``_links`` is shared with traversal views,
-                # so they see it move too), the block may hold nodes past
+                # been added, the block may hold nodes past
                 # ``limit``, or the -1 padding of a pre-_grow() row read
                 # with a grown length: keep ``[0, limit)`` only.
                 block = self._adj0[node, : self._adj0_len[node]].copy()
@@ -660,35 +659,6 @@ class HNSWIndex:
                 )
             index._sync_adj0(node)
         return index
-
-    def traversal_view(self, matrix) -> "HNSWIndex":
-        """A shallow clone of this index that scores against ``matrix``.
-
-        The graph (links, entry point, levels) is shared; only the
-        storage the beam search dots against is swapped. This is how the
-        sq8 tier reuses the float32-built graph: the collection passes
-        the uint8 code matrix (or an energy-adjusted wrapper) plus a
-        rewritten query so ``matrix[block] @ query`` ranks nodes in the
-        quantized score space. ``matrix`` needs only ``.shape`` and
-        block indexing whose result supports ``@`` — it is never
-        written. The clone also shares the thread-local visited scratch
-        (safe: the stamp counter is per-thread monotonic, and the stamp
-        array resizes to the larger of the two matrices' row counts).
-        Views are cheap to make and should be recreated per search —
-        inserts into the live index do not propagate.
-        """
-        if matrix.shape[0] < self._count:
-            raise ValueError(
-                f"traversal matrix has {matrix.shape[0]} rows but the "
-                f"graph has {self._count} nodes"
-            )
-        if isinstance(matrix, np.ndarray) and matrix.flags.writeable:
-            matrix = matrix.view()
-            matrix.flags.writeable = False
-        view = object.__new__(type(self))
-        view.__dict__.update(self.__dict__)
-        view._vectors = matrix
-        return view
 
     # ------------------------------------------------------------------
     # search

@@ -17,15 +17,8 @@ directory with:
   otherwise; a missing, truncated, or config-mismatched graph file
   degrades to the lazy rebuild with a :class:`RuntimeWarning`, never a
   failed load;
-* ``codes.npy`` + ``codebook.npz`` — the int8 scalar-quantized tier
-  (written only for ``quantize="sq8"`` collections): raw
-  uint8 codes mmap-able exactly like the vectors, the per-dimension
-  min/step codebook, and a CRC-32 over both in the meta. A damaged or
-  mismatched tier degrades the load to float32 serving with a
-  :class:`RuntimeWarning` — same contract as the graph file;
 * ``meta.json`` — name, dim, metric, count, the ``hnsw`` config, and
-  the ``indexed_payload_fields`` list (plus ``quantize`` and
-  ``sq8_checksum`` when quantized), so a reload restores search
+  the ``indexed_payload_fields`` list, so a reload restores search
   behaviour — not just the data.
 
 A :class:`~repro.vectordb.sharded.ShardedCollection` snapshot is a
@@ -38,8 +31,10 @@ temporary sibling directory and swaps it into place by renames, so an
 interrupted save never leaves a half-written tree at the published path
 (and never destroys the previous snapshot there).
 
-Schema 3 is the same layout without the quantized-tier files and still
-loads; anything older (schema 2's compressed vectors, schema 1's missing
+Schema 3 is the same layout and still loads. Files and meta keys beyond
+those above are ignored by a load and not carried by the next save
+(``docs/snapshot-format.md`` names the ones older writers left). Anything
+older (schema 2's compressed vectors, schema 1's missing
 ``schema`` key) is refused by every entry point with one
 :class:`~repro.errors.CollectionError` naming the schema found and the
 last commit whose ``snapshot migrate`` upgrades it.
@@ -82,7 +77,6 @@ import shutil
 import time
 import uuid
 import warnings
-import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -92,7 +86,6 @@ from repro.errors import CollectionError
 from repro.vectordb.collection import Collection, HnswConfig, SnapshotView
 from repro.vectordb.distance import Metric
 from repro.vectordb.hnsw import HNSWIndex
-from repro.vectordb.quantization import SQ8Store, validate_quantize
 from repro.vectordb.sharded import AnyCollection, ShardedCollection, reroute
 from repro.vectordb.wal import (
     FSYNC_MODES,
@@ -103,9 +96,8 @@ from repro.vectordb.wal import (
     wal_directory,
 )
 
-#: The schema every snapshot is written with. v4 = v3 + the optional
-#: quantized tier (``codes.npy`` + ``codebook.npz`` + ``quantize`` /
-#: ``sq8_checksum`` meta keys), so both read through one code path.
+#: The schema every snapshot is written with. v3 is the same layout, so
+#: both read through one path.
 SCHEMA_VERSION = 4
 READABLE_SCHEMAS = (3, SCHEMA_VERSION)
 #: The last commit whose ``repro snapshot migrate`` reads schemas 1 and 2.
@@ -115,10 +107,6 @@ _META_FILE = "meta.json"
 _VECTORS_FILE = "vectors.npy"
 _PAYLOADS_FILE = "payloads.jsonl"
 _GRAPH_FILE = "graph.npz"
-#: The quantized tier: raw uint8 codes (mmap-able, like ``vectors.npy``)
-#: and the small per-dimension codebook.
-_CODES_FILE = "codes.npy"
-_CODEBOOK_FILE = "codebook.npz"
 
 
 #: Temp siblings older than this are presumed stranded by a dead save
@@ -337,7 +325,6 @@ def save_collection(
                 metric=collection.metric.value, count=len(collection),
                 hnsw=asdict(collection.hnsw_config),
                 indexed=sorted(collection.indexed_payload_fields),
-                quantize=collection.quantize,
             )
             meta["shards"] = collection.n_shards
             meta["order"] = list(collection.point_order)
@@ -501,7 +488,6 @@ def inspect_snapshot(directory: str | Path) -> dict:
         "dim": meta["dim"],
         "hnsw": meta["hnsw"],
         "indexed_payload_fields": sorted(meta["indexed_payload_fields"]),
-        "quantize": meta.get("quantize"),
         "shards": meta.get("shards"),  # None = plain snapshot
     }
     shard_dirs = _shard_dirs(directory, meta)
@@ -515,13 +501,11 @@ def inspect_snapshot(directory: str | Path) -> dict:
                     else "missing"
                 ),
                 "graph": (shard_path / _GRAPH_FILE).exists(),
-                "codes": (shard_path / _CODES_FILE).exists(),
             }
         )
     info["storage"] = details
     info["mmap_capable"] = all(d["vector_format"] == "npy" for d in details)
     info["graphs_persisted"] = all(d["graph"] for d in details)
-    info["codes_persisted"] = all(d["codes"] for d in details)
     info["wal"] = _inspect_wal(directory, len(shard_dirs))
     info["stale_temps"] = [path.name for path in _temp_siblings(directory)]
     return info
@@ -581,7 +565,6 @@ def migrate_snapshot(
     snapshot_dir: str | Path,
     out_dir: str | Path | None = None,
     build_graphs: bool = True,
-    quantize: str | None = None,
 ) -> Path:
     """Rewrite a snapshot as schema v4 (CLI ``snapshot migrate``).
 
@@ -590,25 +573,17 @@ def migrate_snapshot(
     the default — the whole point of migrating is a fast cold start),
     and saves it back atomically. ``build_graphs=False`` writes no graph
     files at all, even ones the source snapshot carried — the opt-out
-    exists to strip graphs, not merely to skip building them. ``quantize="sq8"`` fits a
-    codebook and persists the quantized tier for a snapshot that never
-    had one (an existing tier is carried over either way — migration is
-    also how a v3 snapshot gains codes without re-ingesting).
+    exists to strip graphs, not merely to skip building them. Files and
+    meta keys a load does not read are not carried.
     ``out_dir`` defaults to rewriting in place. Returns the directory
     written. Raises :class:`~repro.errors.CollectionError` when
     ``snapshot_dir`` holds no loadable snapshot; the target is untouched
     on failure.
     """
     snapshot_dir = Path(snapshot_dir)
-    quantize = validate_quantize(quantize)
     target = snapshot_dir if out_dir is None else Path(out_dir)
     collection = load_collection(snapshot_dir)
     try:
-        if quantize == "sq8":
-            for shard in _shards_of(collection):
-                if shard.quantize is None:
-                    # snapshot_view syncs (fits + encodes) before saving.
-                    shard.attach_sq8(SQ8Store(shard.dim))
         if build_graphs:
             collection.build_hnsw_if_needed()
         save_collection(collection, target, include_graphs=build_graphs)
@@ -629,8 +604,7 @@ def reshard_snapshot(
     :func:`~repro.vectordb.sharded.reroute` into an empty collection of
     ``new_shards`` shards, :func:`save_collection`. Works on any snapshot
     a load accepts, plain ones included; a reload sees identical
-    ``scroll`` order, counts, payload indexes, ``HnswConfig`` and
-    quantize kind (sq8 codebooks are re-fitted per new shard). The
+    ``scroll`` order, counts, payload indexes and ``HnswConfig``. The
     result is always the sharded layout (``new_shards`` may be 1) and
     has no graph files — the old ones describe no new shard; the next
     load rebuilds them lazily (or run :func:`migrate_snapshot`).
@@ -656,7 +630,7 @@ def reshard_snapshot(
     source = load_collection(snapshot_dir, mmap=True)
     resharded = ShardedCollection(
         source.name, source.dim, metric=source.metric,
-        hnsw=source.hnsw_config, shards=new_shards, quantize=source.quantize,
+        hnsw=source.hnsw_config, shards=new_shards,
     )
     try:
         if in_place and (
@@ -690,16 +664,9 @@ def _meta_dict(
     count: int,
     hnsw: dict,
     indexed: list[str],
-    quantize: str | None = None,
-    sq8_checksum: int | None = None,
 ) -> dict:
-    """The one place snapshot ``meta.json`` keys are spelled out.
-
-    ``quantize``/``sq8_checksum`` are written only when the collection
-    carries a quantized tier, so unquantized metas stay key-compatible
-    with schema 3.
-    """
-    meta = {
+    """The one place snapshot ``meta.json`` keys are spelled out."""
+    return {
         "schema": SCHEMA_VERSION,
         "name": name,
         "dim": dim,
@@ -708,30 +675,10 @@ def _meta_dict(
         "hnsw": hnsw,
         "indexed_payload_fields": indexed,
     }
-    if quantize is not None:
-        meta["quantize"] = quantize
-        if sq8_checksum is not None:
-            meta["sq8_checksum"] = int(sq8_checksum)
-    return meta
 
 
 #: The keys every meta carries, which :func:`_read_meta` insists on.
 _META_KEYS = frozenset(_meta_dict("", 0, "", 0, {}, []))
-
-
-def _sq8_checksum(
-    codes: np.ndarray, mins: np.ndarray, steps: np.ndarray
-) -> int:
-    """CRC-32 over the quantized tier's bytes (codes then codebook).
-
-    Computed from the arrays' buffers directly (``.data``), so even a
-    memory-mapped code matrix is checksummed without materializing a
-    copy — page-cache reads only.
-    """
-    crc = zlib.crc32(np.ascontiguousarray(codes, dtype=np.uint8).data)
-    crc = zlib.crc32(np.ascontiguousarray(mins, dtype=np.float32).data, crc)
-    crc = zlib.crc32(np.ascontiguousarray(steps, dtype=np.float32).data, crc)
-    return crc
 
 
 def _save_view(
@@ -747,25 +694,14 @@ def _save_view(
     an mmap-served collection saves without materializing its matrix.
     ``view.graph_arrays`` is the HNSW graph already serialized via
     :meth:`~repro.vectordb.hnsw.HNSWIndex.to_arrays` — arrays rather
-    than a live index, which could keep growing after the capture. The
-    quantized tier lands in ``codes.npy`` — raw, so loads can mmap it
-    like the vectors — and ``codebook.npz``; their CRC-32 goes into the
-    meta so a load can tell bit rot from a valid-but-different tier.
+    than a live index, which could keep growing after the capture.
     """
     directory.mkdir(parents=True, exist_ok=True)
     # Raw .npy so loads can memory-map the matrix directly; a view's
-    # matrix is float32 and its codes uint8 by the indexes' own contracts.
+    # matrix is float32 by the flat index's own contract.
     np.save(directory / _VECTORS_FILE, view.vectors)
     if include_graphs and view.graph_arrays is not None:
         np.savez(directory / _GRAPH_FILE, **view.graph_arrays)
-    sq8_checksum = None
-    codes, codebook = view.codes, view.codebook
-    if view.quantize and codes is not None and codebook is not None:
-        np.save(directory / _CODES_FILE, codes)
-        np.savez(directory / _CODEBOOK_FILE, **codebook)
-        sq8_checksum = _sq8_checksum(
-            codes, codebook["mins"], codebook["steps"]
-        )
     with open(directory / _PAYLOADS_FILE, "w", encoding="utf-8") as fh:
         for point_id, payload in zip(view.ids, view.payloads):
             fh.write(
@@ -777,7 +713,6 @@ def _save_view(
         name=view.name, dim=view.dim, metric=view.metric.value,
         count=len(view.ids), hnsw=asdict(view.hnsw),
         indexed=list(view.indexed_fields),
-        quantize=view.quantize, sq8_checksum=sq8_checksum,
     )
     (directory / _META_FILE).write_text(json.dumps(meta, indent=2))
 
@@ -867,67 +802,6 @@ def _attach_stored_graph(
     collection.attach_hnsw(graph)
 
 
-def _attach_quantized_tier(
-    collection: Collection,
-    directory: Path,
-    meta: dict,
-    mmap: bool = False,
-) -> None:
-    """Attach the persisted sq8 tier to a freshly loaded collection.
-
-    Only runs when the meta declares ``"quantize": "sq8"``. The codes
-    and codebook must load cleanly, agree with the collection's shape,
-    and match the recorded CRC-32 — *any* defect (missing or truncated
-    files, wrong dtype/shape, flipped bits) degrades the collection to
-    its float32 tier with a :class:`RuntimeWarning`, mirroring the
-    graph fallback above: a damaged quantized tier can cost memory,
-    never correctness, because the float32 matrix is always present
-    and exact. ``mmap=True`` maps the codes read-only (the checksum
-    pass touches the pages but allocates nothing).
-    """
-    try:
-        if validate_quantize(meta.get("quantize")) != "sq8":
-            return
-    except ValueError as exc:
-        warnings.warn(
-            f"ignoring unknown quantize kind in {directory} ({exc}); "
-            "serving the float32 tier instead",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        return
-    if len(collection) == 0:
-        # Nothing was quantized yet; just turn the tier on.
-        collection.attach_sq8(SQ8Store(collection.dim))
-        return
-    codes_path = directory / _CODES_FILE
-    try:
-        codes = np.load(codes_path, mmap_mode="r" if mmap else None)
-        with np.load(directory / _CODEBOOK_FILE) as npz:
-            mins = np.asarray(npz["mins"], dtype=np.float32)
-            steps = np.asarray(npz["steps"], dtype=np.float32)
-        if codes.ndim != 2 or codes.shape[0] != len(collection):
-            raise ValueError(
-                f"codes shape {codes.shape} disagrees with the "
-                f"{len(collection)}-point collection"
-            )
-        expected = meta.get("sq8_checksum")
-        if expected is not None and _sq8_checksum(
-            codes, mins, steps
-        ) != int(expected):
-            raise ValueError("sq8 checksum mismatch (bit rot?)")
-        store = SQ8Store.from_arrays(codes, mins, steps)
-    except Exception as exc:  # reprolint: last-resort -- any unusable quantized tier degrades to float32, surfaced via warning
-        warnings.warn(
-            f"ignoring unusable quantized tier {codes_path} ({exc}); "
-            "serving the float32 tier instead",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        return
-    collection.attach_sq8(store)
-
-
 def _load_single(directory: Path, hnsw: HnswConfig, mmap: bool) -> Collection:
     """Read one single-collection snapshot (``mmap`` maps its matrix)."""
     meta = _read_meta(directory)
@@ -964,5 +838,4 @@ def _load_single(directory: Path, hnsw: HnswConfig, mmap: bool) -> Collection:
     _attach_stored_graph(
         collection, directory, hnsw, HnswConfig(**meta["hnsw"])
     )
-    _attach_quantized_tier(collection, directory, meta, mmap=mmap)
     return collection

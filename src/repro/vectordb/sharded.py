@@ -79,7 +79,6 @@ class ShardedCollection:
         metric: Metric = Metric.COSINE,
         hnsw: HnswConfig | None = None,
         shards: int = 2,
-        quantize: str | None = None,
     ) -> None:
         if shards <= 0:
             raise CollectionError(
@@ -93,7 +92,6 @@ class ShardedCollection:
             [
                 Collection(
                     f"{name}/shard-{i:02d}", dim, metric=metric, hnsw=hnsw,
-                    quantize=quantize,
                 )
                 for i in range(shards)
             ],
@@ -146,21 +144,6 @@ class ShardedCollection:
     def n_shards(self) -> int:
         """Number of shards."""
         return len(self._shards)
-
-    @property
-    def quantize(self) -> str | None:
-        """Quantized-tier kind active on the shards (``None`` = float32-only).
-
-        Derived from the shards rather than stored: a snapshot load may
-        degrade one shard's quantized tier (damaged ``codes.npy``) while
-        its siblings keep theirs, and this property must report what is
-        actually serving. Any shard with a tier reports the collection as
-        quantized — searches on degraded shards simply run float32.
-        """
-        for shard in self._shards:
-            if shard.quantize is not None:
-                return shard.quantize
-        return None
 
     @property
     def shard_collections(self) -> tuple[Collection, ...]:
@@ -481,10 +464,10 @@ def reroute(source: AnyCollection, target: AnyCollection) -> AnyCollection:
 
     The one re-router behind ``VectorDBClient.reshard_collection`` and
     ``persistence.reshard_snapshot``, which differ only in the target
-    they build (from ``source``'s dim, metric, HNSW config and quantize
-    kind). Points are upserted in ``source``'s global insertion order,
-    so ``target`` scrolls identically and routes every id through its
-    own :meth:`ShardedCollection.upsert`. Returns ``target``.
+    they build (from ``source``'s dim, metric and HNSW config). Points
+    are upserted in ``source``'s global insertion order, so ``target``
+    scrolls identically and routes every id through its own
+    :meth:`ShardedCollection.upsert`. Returns ``target``.
     """
     order = (
         source.point_order if isinstance(source, ShardedCollection)

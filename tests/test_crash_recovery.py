@@ -145,6 +145,12 @@ class TestKillMidBurst:
                 break
         os.kill(child.pid, signal.SIGKILL)
         child.wait(timeout=30)
+        # The writer does not wait for this reader, so it may have
+        # acknowledged more writes before the kill landed than were read
+        # above; those acknowledgements are still in the pipe.
+        for line in child.stdout.read().splitlines():
+            if line.startswith("ACK "):
+                acked.append(int(line.split()[1]))
         child.stdout.close()
         assert acked, "child never acknowledged a write"
 

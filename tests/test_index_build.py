@@ -268,10 +268,10 @@ class TestEagerPrepare:
         corpus.prepared.client.close()
 
 
-def _backend(kind: str, quantize: str | None):
+def _backend(kind: str):
     if kind == "sharded":
-        return ShardedCollection("t", 16, shards=3, quantize=quantize)
-    return Collection("t", 16, quantize=quantize)
+        return ShardedCollection("t", 16, shards=3)
+    return Collection("t", 16)
 
 
 def _shards(collection) -> list[Collection]:
@@ -282,13 +282,12 @@ def _shards(collection) -> list[Collection]:
 
 class TestGraphOnlyAboveThreshold:
     @pytest.mark.parametrize("kind", ["single", "sharded"])
-    @pytest.mark.parametrize("quantize", [None, "sq8"])
-    def test_below_threshold_search_is_the_exact_scan(self, kind, quantize):
+    def test_below_threshold_search_is_the_exact_scan(self, kind):
         vecs = unit_vectors(300, 16, seed=31)
         queries = unit_vectors(5, 16, seed=32)
-        collection = _backend(kind, quantize)
+        collection = _backend(kind)
         collection.upsert(points_of(vecs))
-        for params in ({}, {"ef": 8}, {"rescore_factor": 1.0}):
+        for params in ({}, {"ef": 8}):
             approx = collection.search_batch(queries, 10, **params)
             exact = collection.search_batch(queries, 10, exact=True)
             assert [[(h.id, h.score) for h in row] for row in approx] == [

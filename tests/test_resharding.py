@@ -239,27 +239,6 @@ class TestReshardIsLoadRerouteSave:
         assert not wal_directory(out).exists()
         resharded.close()
 
-    def test_sq8_tier_is_carried(self, tmp_path):
-        """Same demand ``test_reshard_carries_quantize`` makes of the
-        live path: the tier survives, re-fitted per new shard."""
-        original = ShardedCollection("resh", 16, shards=4, quantize="sq8")
-        original.upsert(make_points(90, 16, seed=12))
-        src = tmp_path / "snap"
-        save_collection(original, src)
-        reshard_snapshot(src, 3)
-        info = inspect_snapshot(src)
-        assert info["quantize"] == "sq8" and info["codes_persisted"]
-        resharded = load_collection(src)
-        assert resharded.quantize == "sq8"
-        query = unit_vectors(1, 16, seed=13)[0]
-        want = original.search(query, 10, exact=True)
-        got = resharded.search(query, 10, rescore_factor=90.0)
-        assert [(h.id, h.score) for h in got] == [
-            (h.id, h.score) for h in want
-        ]
-        original.close()
-        resharded.close()
-
     def test_stale_reshard_tmp_does_not_block(self, tmp_path):
         """A SIGKILLed in-place reshard of an earlier version left a
         fixed-name staging sibling that made every later one fail."""

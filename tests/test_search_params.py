@@ -153,7 +153,7 @@ class TestSearchParams:
         monkeypatch.setattr(client, "search_batch", spy)
         flt = FieldMatch("group", 2)
         variants = [
-            {}, {"rescore_factor": 2.0}, {"ef": 32}, {"exact": True},
+            {}, {"ef": 32}, {"exact": True},
         ]
         coalescer = SearchCoalescer(client, max_batch=64)
         with plugged(coalescer):  # equal keys are certain to meet in the queue
@@ -204,8 +204,6 @@ class TestSearchEndpoint:
         # (at the parent: status)
         ("/search", _search_body(ef=-5)),                      # 200, beam = k
         ("/search", _search_body(ef=0)),                       # 200, default
-        ("/search", _search_body(rescore_factor=0.5)),         # 200, ignored
-        ("/search", _search_body(rescore_factor=float("nan"))),  # 200
         ("/search", _search_body(k=float("inf"))),             # 500
         ("/search", _search_body(vector=[float("nan")] * DIM)),  # 200, NaN
         ("/search", _search_body(vector=[float("inf")] * DIM)),  # 200, NaN

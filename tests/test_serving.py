@@ -414,12 +414,14 @@ class TestNoWaitWindow:
 
     @pytest.mark.parametrize("argv", [
         # Spelled in pieces so a grep for the old flags stays empty.
-        ["--shard-" + "workers", "process"],
-        ["--no-" + "coalesce"],
+        ["serve", "--shard-" + "workers", "process"],
+        ["serve", "--no-" + "coalesce"],
+        ["serve", "--quant" + "ize", "sq" + "8"],
+        ["snapshot", "migrate", "snap", "--quant" + "ize", "sq" + "8"],
     ])
-    def test_serve_refuses_the_flags_of_the_deleted_executor(self, argv):
+    def test_cli_refuses_the_flags_of_deleted_paths(self, argv):
         with pytest.raises(SystemExit) as refused:
-            build_parser().parse_args(["serve", *argv])
+            build_parser().parse_args(argv)
         assert refused.value.code == 2
 
     def test_serve_refuses_a_non_positive_max_batch(self, capsys):

@@ -171,7 +171,7 @@ class TestCompatibilityMatrix:
         self, tmp_path, shards, monkeypatch
     ):
         """No writer emits ``"schema": 3`` any more, but it is the same
-        layout minus the optional sq8 files and must keep loading."""
+        layout as schema 4 and must keep loading."""
         # Keep the graph paths: below the threshold a load attaches no
         # graph and a search scans.
         monkeypatch.setattr(Collection, "BRUTE_FORCE_THRESHOLD", 0)
@@ -186,6 +186,56 @@ class TestCompatibilityMatrix:
             _assert_identical(loaded, original, vecs[:16])
             loaded.close()
         original.close()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_int8_tier_files_are_ignored_and_dropped_by_migrate(
+        self, tmp_path, shards
+    ):
+        """Schema-4 snapshots written while the int8 tier existed carry
+        ``codes.npy``, ``codebook.npz`` and two extra meta keys beside
+        the float32 ``vectors.npy``. No writer emits them any more: a
+        load answers exactly as the plain twin does, and an in-place
+        ``migrate_snapshot`` leaves none of them behind."""
+        original, vecs = _build(shards=shards)
+        plain, tiered = tmp_path / "plain", tmp_path / "tiered"
+        save_collection(original, plain)
+        save_collection(original, tiered)
+        original.close()
+        for vectors_path in tiered.rglob("vectors.npy"):
+            rows = np.load(vectors_path).shape[0]
+            np.save(vectors_path.with_name("codes.npy"),
+                    np.zeros((rows, DIM), dtype=np.uint8))
+            np.savez(vectors_path.with_name("codebook.npz"),
+                     mins=np.zeros(DIM, np.float32),
+                     steps=np.ones(DIM, np.float32))
+        _rewrite_metas(tiered, lambda meta: meta.update(
+            quantize="sq8", sq8_checksum=12345,
+        ))
+        flt = FieldMatch("city", "c1")
+        for mmap in (False, True):
+            twin = load_collection(plain, mmap=mmap)
+            loaded = load_collection(tiered, mmap=mmap)
+            _assert_identical(loaded, twin, vecs[:16])
+            for knobs in ({}, {"flt": flt}):
+                want = twin.search_batch(vecs[:16], K, **knobs)
+                got = loaded.search_batch(vecs[:16], K, **knobs)
+                assert [[(h.id, h.score) for h in row] for row in got] == [
+                    [(h.id, h.score) for h in row] for row in want
+                ]
+            twin.close()
+            loaded.close()
+
+        migrate_snapshot(tiered)
+        assert not list(tiered.rglob("codes.npy"))
+        assert not list(tiered.rglob("codebook.npz"))
+        for meta_path in tiered.rglob("meta.json"):
+            meta = json.loads(meta_path.read_text())
+            assert not {"quantize", "sq8_checksum"} & meta.keys()
+        twin = load_collection(plain)
+        migrated = load_collection(tiered)
+        _assert_identical(migrated, twin, vecs[:16])
+        twin.close()
+        migrated.close()
 
     def test_migrate_no_graphs_strips_existing_graph_files(self, tmp_path):
         """--no-graphs must remove graph files, not just skip building:
